@@ -1,6 +1,7 @@
 //! Timing kernels for the computational hot paths behind every figure:
 //! Hamiltonian propagation (Fig 7), bitstream fitness (§V-A step 1), gate
-//! decomposition (Fig 10a), routing and synthesis (Figs 8/9).
+//! decomposition (Fig 10a), routing, DigiQ_opt execution and synthesis
+//! (Figs 8/9).
 //!
 //! Runs on the std-only harness in `digiq_bench::timing` (no criterion —
 //! the workspace is offline and dependency-free). `--quick` shrinks the
@@ -277,6 +278,38 @@ fn bench_compile(h: &mut Bench) {
     );
 }
 
+fn bench_exec(h: &mut Bench) {
+    use digiq_core::design::{ControllerDesign, SystemConfig};
+    use digiq_core::exec::{checkerboard_groups, execute, ExecParams};
+    use qcircuit::pipeline::{CompileArtifact, Pipeline, PipelineConfig};
+    use qcircuit::topology::Grid;
+    // DigiQ_opt slot demand at paper scale: the 256-bit lookahead adder
+    // on the 32×32 grid (the benchmark with the most slots, and most of
+    // the paper sweep's demand work), compiled once outside the timed
+    // closure. The `allocs` counter is the `SlotDemand` workspace growth
+    // of one run — a few warm-up grows, never one per slot.
+    let grid = Grid::new(32, 32);
+    let logical = qcircuit::bench::Benchmark::Add2.paper_scale();
+    let layout = qcircuit::mapping::Layout::snake(logical.n_qubits(), &grid);
+    let (compiled, _) = Pipeline::standard(&PipelineConfig::default())
+        .run(CompileArtifact::new(logical, layout), &grid)
+        .unwrap();
+    let groups = checkerboard_groups(grid.cols(), compiled.circuit.n_qubits(), 2);
+    let mut params = ExecParams::new(SystemConfig::paper_default(
+        ControllerDesign::DigiqOpt { bs: 8 },
+        2,
+    ));
+    params.config.n_qubits = compiled.circuit.n_qubits();
+    h.bench("exec_opt_bs8_paper", || {
+        execute(
+            black_box(&compiled.circuit),
+            compiled.scheduled(),
+            &groups,
+            &params,
+        )
+    });
+}
+
 fn bench_synthesis(h: &mut Bench) {
     h.bench("synthesize_mux16", || {
         let mut nl = sfq_hw::generators::one_hot_mux(16);
@@ -442,6 +475,7 @@ fn main() {
     bench_bitstream(&mut h);
     bench_decomposition(&mut h);
     bench_compile(&mut h);
+    bench_exec(&mut h);
     bench_synthesis(&mut h);
     println!("\n{} kernels timed.", h.h.results.len());
     let rows: Vec<Row> =

@@ -21,14 +21,16 @@
 //!
 //! Both engines draw every per-gate decision (decomposition depth `K`,
 //! firing count `L`, delay class) from the shared
-//! [`crate::delay_model::DelayModel`], so a [`CosimReport`] produced from
-//! the same compiled artifact ([`qcircuit::pipeline::CompileArtifact`])
-//! + [`ExecParams`] as an [`ExecReport`] is
-//! *exactly* comparable: integer cycle counters (`oneq_cycles`,
-//! `serialization_cycles`, CZ segments, slots) must agree to the cycle,
-//! and `total_ns` to f64 rounding (the co-simulator sums exact integer
-//! ticks where the analytic model sums f64 nanoseconds) — see
-//! [`diff_analytic`] and `crates/core/tests/cosim_diff.rs`. What the
+//! [`crate::delay_model::DelayModel`], and both count DigiQ_opt demand
+//! (distinct delay classes per group and firing position) through the
+//! same [`crate::delay_model::SlotDemand`] workspace. So a
+//! [`CosimReport`] produced from the same compiled artifact
+//! ([`qcircuit::pipeline::CompileArtifact`]) and [`ExecParams`] as an
+//! [`ExecReport`] is *exactly* comparable: integer cycle counters
+//! (`oneq_cycles`, `serialization_cycles`, CZ segments, slots) must agree
+//! to the cycle, and `total_ns` to f64 rounding (the co-simulator sums
+//! exact integer ticks where the analytic model sums f64 nanoseconds) —
+//! see [`diff_analytic`] and `crates/core/tests/cosim_diff.rs`. What the
 //! co-simulator adds over the closed form is *attribution*: per-group
 //! sequencer utilization, per-slot serialization, double-buffered
 //! select/mask staging counts, and an optional per-cycle trace.
@@ -57,7 +59,7 @@
 //! assert!(diff_analytic(&cosim, &analytic).is_exact(1e-9));
 //! ```
 
-use crate::delay_model::{gate_bin, DelayModel};
+use crate::delay_model::{gate_bin, DelayModel, SlotDemand};
 use crate::design::ControllerDesign;
 use crate::exec::{ExecParams, ExecReport};
 use calib::min_decomp::representative_sequence;
@@ -674,7 +676,18 @@ fn simulate_opt(
     let mut cz_slots = 0u64;
     let mut staged_words = 0u64;
     let mut slot_serialization = Vec::new();
-    let mut group_busy_cycles: BTreeMap<usize, u64> = BTreeMap::new();
+    let mut group_busy_cycles: Vec<u64> = Vec::new();
+    let mut demand = SlotDemand::new();
+    // Per-group sequencer cursors over the slot's demand runs (reused
+    // across slots): next run index, end of the group's runs, and the
+    // classes already issued at the current firing position.
+    struct Cursor {
+        group: usize,
+        next: usize,
+        end: usize,
+        issued: usize,
+    }
+    let mut cursors: Vec<Cursor> = Vec::new();
 
     for (si, slot) in slots.iter().enumerate() {
         let words = staged_words_of_slot(circuit, slot);
@@ -688,14 +701,11 @@ fn simulate_opt(
             detail: words,
         });
 
-        // Gather each group's demand queue: firing positions in order,
-        // each with its sorted set of distinct delay classes.
-        let mut demands: BTreeMap<usize, BTreeMap<usize, Vec<u64>>> = BTreeMap::new();
-        let mut slot_cz = 0u64;
-        for &gi in slot {
-            match circuit.gates()[gi] {
-                Gate::Cz { a, b } => {
-                    slot_cz += 1;
+        demand.gather(circuit, slot, group_of, &model);
+        let slot_cz = demand.cz_count();
+        if tracer.on {
+            for &gi in slot {
+                if let Gate::Cz { a, b } = circuit.gates()[gi] {
                     tracer.push(TraceEvent {
                         tick: now,
                         slot: si,
@@ -705,77 +715,59 @@ fn simulate_opt(
                         detail: b as u64,
                     });
                 }
-                Gate::OneQ { q, kind } => {
-                    let group = group_of_qubit(group_of, q);
-                    for pos in 0..model.firing_count(kind) {
-                        let class = model.delay_class(kind, pos, group, q);
-                        let classes = demands.entry(group).or_default().entry(pos).or_default();
-                        if !classes.contains(&class) {
-                            classes.push(class);
-                        }
-                    }
-                }
-                _ => panic!("co-simulator requires a lowered circuit"),
             }
         }
-        for positions in demands.values_mut() {
-            for classes in positions.values_mut() {
-                classes.sort_unstable();
+
+        let runs = demand.runs();
+        cursors.clear();
+        let mut start = 0;
+        for group_runs in demand.groups() {
+            let group = group_runs[0].group;
+            if group_busy_cycles.len() <= group {
+                group_busy_cycles.resize(group + 1, 0);
             }
+            cursors.push(Cursor {
+                group,
+                next: start,
+                end: start + group_runs.len(),
+                issued: 0,
+            });
+            start += group_runs.len();
         }
 
         // Per-cycle engine: every unfinished group issues up to BS delay
         // classes at its current firing position each controller cycle;
         // a position spilling past its first sub-cycle is contention.
-        struct GroupState {
-            queue: Vec<(usize, Vec<u64>)>,
-            pos_idx: usize,
-            class_idx: usize,
-        }
-        let mut states: BTreeMap<usize, GroupState> = demands
-            .into_iter()
-            .map(|(g, positions)| {
-                (
-                    g,
-                    GroupState {
-                        queue: positions.into_iter().collect(),
-                        pos_idx: 0,
-                        class_idx: 0,
-                    },
-                )
-            })
-            .collect();
-
         let mut cycles_this_slot = 0u64;
         let mut ser_this_slot = 0u64;
         loop {
             let mut issued_any = false;
-            for (&g, st) in states.iter_mut() {
-                if st.pos_idx >= st.queue.len() {
+            for cur in cursors.iter_mut() {
+                if cur.next >= cur.end {
                     continue;
                 }
                 issued_any = true;
-                let (_, classes) = &st.queue[st.pos_idx];
-                if st.class_idx > 0 {
+                let distinct = runs[cur.next].distinct;
+                if cur.issued > 0 {
                     // Continuation sub-cycle at the same firing position:
                     // pure delay-slot contention.
                     ser_this_slot += 1;
                 }
-                let take = bs.min(classes.len() - st.class_idx);
+                let take = bs.min(distinct - cur.issued);
                 tracer.push(TraceEvent {
                     tick: now + cycles_this_slot * cycle_ticks,
                     slot: si,
-                    group: g,
+                    group: cur.group,
                     qubit: None,
                     kind: TraceKind::Broadcast,
                     detail: take as u64,
                 });
-                st.class_idx += take;
-                if st.class_idx >= classes.len() {
-                    st.pos_idx += 1;
-                    st.class_idx = 0;
+                cur.issued += take;
+                if cur.issued >= distinct {
+                    cur.next += 1;
+                    cur.issued = 0;
                 }
-                *group_busy_cycles.entry(g).or_insert(0) += 1;
+                group_busy_cycles[cur.group] += 1;
             }
             if !issued_any {
                 break;
@@ -805,7 +797,7 @@ fn simulate_opt(
     let groups = group_members(group_of)
         .into_iter()
         .map(|(g, members)| {
-            let busy_ticks = group_busy_cycles.get(&g).copied().unwrap_or(0) * cycle_ticks;
+            let busy_ticks = group_busy_cycles.get(g).copied().unwrap_or(0) * cycle_ticks;
             GroupActivity {
                 group: g,
                 members,

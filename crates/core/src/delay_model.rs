@@ -21,9 +21,16 @@
 //! on *what each gate costs* by construction, so any divergence is a real
 //! disagreement between the timing models, not a drifted copy of the
 //! draw arithmetic.
+//!
+//! The DigiQ_opt per-slot demand — distinct delay classes per (group,
+//! firing position) — is counted once, by [`SlotDemand`], and both
+//! engines read it from there: the analytic model folds its runs into a
+//! closed-form cost, the co-simulator replays them cycle by cycle.
 
 use crate::exec::ExecParams;
-use qcircuit::ir::OneQ;
+use qcircuit::ir::{Circuit, Gate, OneQ};
+use qcircuit::schedule::Slot;
+use qsim::rng::StableHasher;
 
 /// Stable digest used for every observable draw (lands in golden files).
 pub(crate) fn hash_u64(parts: &[u64]) -> u64 {
@@ -132,10 +139,140 @@ impl<'a> DelayModel<'a> {
         ])
     }
 
+    /// The delay classes of every firing position of a gate at once:
+    /// `(classes, L)` with `classes[pos] == delay_class(kind, pos, group,
+    /// q)` for `pos < L` ([`DelayModel::firing_count`]) and zeros beyond.
+    /// The `[seed, gate_bin]` hash prefix is absorbed once per gate and
+    /// cloned per position; [`StableHasher`] is incremental, so the
+    /// values are bit-identical to the one-shot draw.
+    pub fn delay_classes(&self, kind: OneQ, group: usize, q: usize) -> ([u64; 3], usize) {
+        let firings = self.firing_count(kind);
+        let mut prefix = StableHasher::new();
+        prefix.write_u64(self.seed);
+        prefix.write_u64(gate_bin(kind, self.angle_bins));
+        let mut classes = [0u64; 3];
+        for (pos, class) in classes[..firings].iter_mut().enumerate() {
+            let mut h = prefix.clone();
+            h.write_u64(pos as u64);
+            h.write_u64((group % 2) as u64);
+            h.write_u64((q % self.variation_classes.max(1)) as u64);
+            *class = h.finish();
+        }
+        (classes, firings)
+    }
+
     /// The empirical DigiQ_min length distribution backing
     /// [`DelayModel::min_depth`].
     pub fn min_lengths(&self) -> &[usize] {
         self.min_lengths
+    }
+}
+
+/// One `(group, firing position)` run of a slot's DigiQ_opt demand: the
+/// number of distinct delay classes that group's sequencer broadcasts at
+/// that position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DemandRun {
+    /// SIMD (frequency) group.
+    pub group: usize,
+    /// Firing position `0..L`.
+    pub pos: usize,
+    /// Distinct delay classes demanded (≥ 1).
+    pub distinct: usize,
+}
+
+/// Reusable DigiQ_opt slot-demand workspace (§V-A): every group
+/// broadcasts only `BS` distinct delays per firing position, so each slot
+/// is priced by its distinct delay classes per (group, position).
+///
+/// [`SlotDemand::gather`] collects the slot's `(group, pos, class)`
+/// triples into one flat buffer, sorts and dedups it, and compresses the
+/// result into [`DemandRun`]s in ascending (group, pos) order. Keep one
+/// workspace across slots: after warm-up it never allocates. Buffer
+/// growth is tallied through [`qsim::counters::tally_alloc`], so the
+/// kernels bench can pin that.
+#[derive(Debug, Default)]
+pub struct SlotDemand {
+    triples: Vec<(usize, usize, u64)>,
+    runs: Vec<DemandRun>,
+    cz_count: u64,
+}
+
+/// `Vec::push` that tallies one allocation whenever the buffer grows.
+fn push_counted<T>(v: &mut Vec<T>, x: T) {
+    if v.len() == v.capacity() {
+        qsim::counters::tally_alloc();
+    }
+    v.push(x);
+}
+
+impl SlotDemand {
+    /// An empty workspace.
+    pub fn new() -> Self {
+        SlotDemand::default()
+    }
+
+    /// Replaces the workspace contents with the demand of one schedule
+    /// slot: `group_of[q]` is the SIMD group of physical qubit `q`
+    /// (out-of-range qubits fall in group 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot references an out-of-range gate or a
+    /// non-lowered gate.
+    pub fn gather(
+        &mut self,
+        circuit: &Circuit,
+        slot: &Slot,
+        group_of: &[usize],
+        model: &DelayModel<'_>,
+    ) {
+        self.triples.clear();
+        self.runs.clear();
+        self.cz_count = 0;
+        for &gi in slot {
+            match circuit.gates()[gi] {
+                Gate::Cz { .. } => self.cz_count += 1,
+                Gate::OneQ { q, kind } => {
+                    let group = group_of.get(q).copied().unwrap_or(0);
+                    let (classes, firings) = model.delay_classes(kind, group, q);
+                    for (pos, &class) in classes[..firings].iter().enumerate() {
+                        push_counted(&mut self.triples, (group, pos, class));
+                    }
+                }
+                _ => panic!("slot demand requires a lowered circuit"),
+            }
+        }
+        self.triples.sort_unstable();
+        self.triples.dedup();
+        for &(group, pos, _) in &self.triples {
+            match self.runs.last_mut() {
+                Some(run) if run.group == group && run.pos == pos => run.distinct += 1,
+                _ => push_counted(
+                    &mut self.runs,
+                    DemandRun {
+                        group,
+                        pos,
+                        distinct: 1,
+                    },
+                ),
+            }
+        }
+    }
+
+    /// The slot's demand runs, ascending by (group, pos).
+    pub fn runs(&self) -> &[DemandRun] {
+        &self.runs
+    }
+
+    /// The runs split per group (ascending), each ascending by position.
+    pub fn groups(&self) -> impl Iterator<Item = &[DemandRun]> {
+        self.runs.chunk_by(|a, b| a.group == b.group)
+    }
+
+    /// CZ gates in the slot.
+    pub fn cz_count(&self) -> u64 {
+        self.cz_count
     }
 }
 
@@ -191,5 +328,31 @@ mod tests {
             m.delay_class(OneQ::H, 0, 0, 0),
             m.delay_class(OneQ::X, 0, 0, 0)
         );
+    }
+
+    #[test]
+    fn slot_demand_counts_distinct_classes_per_group_and_position() {
+        let p = params();
+        let m = DelayModel::new(&p);
+        // Group 0 runs H on q0, q3 (variation class 0, shared) and q4
+        // (class 1); group 1 runs a diagonal Rz (one firing) on q1.
+        let mut c = Circuit::new(5);
+        c.h(0);
+        c.h(3);
+        c.h(4);
+        c.rz(1, 0.4);
+        c.cz(2, 3);
+        let slot: Slot = vec![0, 1, 2, 3, 4];
+        let group_of = [0, 1, 0, 0, 0];
+        let mut demand = SlotDemand::new();
+        demand.gather(&c, &slot, &group_of, &m);
+        assert_eq!(demand.cz_count(), 1);
+        let run = |group, pos, distinct| DemandRun {
+            group,
+            pos,
+            distinct,
+        };
+        assert_eq!(demand.runs(), &[run(0, 0, 2), run(0, 1, 2), run(1, 0, 1)]);
+        assert_eq!(demand.groups().count(), 2);
     }
 }

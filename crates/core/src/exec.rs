@@ -18,6 +18,9 @@
 //!   (`⌈distinct/BS⌉` sub-cycles per firing position). Identical gate
 //!   angles snap to shared delays within the §V-A error margin, modelled
 //!   by quantizing angles into `angle_bins` classes per frequency group.
+//!   The distinct classes per (group, position) are counted by the shared
+//!   [`crate::delay_model::SlotDemand`] workspace — the same count
+//!   [`crate::cosim`] replays cycle by cycle.
 //!
 //! CZ gates occupy `cz_ns` (3 DigiQ_opt cycles) regardless of design.
 //! This is a *statistical* model of the per-gate delay assignments (the
@@ -25,12 +28,11 @@
 //! contention distribution); all draws are deterministic hashes, so runs
 //! reproduce exactly. See DESIGN.md.
 
-use crate::delay_model::DelayModel;
+use crate::delay_model::{DelayModel, SlotDemand};
 use crate::design::{ControllerDesign, SystemConfig};
 use qcircuit::ir::{Circuit, Gate};
 use qcircuit::schedule::Slot;
 use sfq_hw::json::{Json, ToJson};
-use std::collections::{HashMap, HashSet};
 
 /// Tunables of the statistical execution model.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,45 +137,24 @@ pub struct OptSlotCost {
     pub cz_count: u64,
 }
 
-/// Computes [`OptSlotCost`] for one schedule slot of a lowered circuit
-/// under DigiQ_opt with `bs` broadcast delay slots per cycle.
-///
-/// # Panics
-///
-/// Panics if a slot references an out-of-range gate, or the circuit
-/// contains non-lowered gates.
-pub fn opt_slot_cost(
-    circuit: &Circuit,
-    slot: &Slot,
-    group_of: &[usize],
-    model: &DelayModel<'_>,
-    bs: usize,
-) -> OptSlotCost {
-    // Group → firing position → distinct delay classes.
-    let mut demands: HashMap<(usize, usize), HashSet<u64>> = HashMap::new();
-    let mut cost = OptSlotCost::default();
-    for &gi in slot {
-        match circuit.gates()[gi] {
-            Gate::Cz { .. } => cost.cz_count += 1,
-            Gate::OneQ { q, kind } => {
-                let group = group_of.get(q).copied().unwrap_or(0);
-                for pos in 0..model.firing_count(kind) {
-                    let class = model.delay_class(kind, pos, group, q);
-                    demands.entry((group, pos)).or_default().insert(class);
-                }
-            }
-            _ => panic!("executor requires a lowered circuit"),
+/// Computes [`OptSlotCost`] for one gathered slot demand under
+/// DigiQ_opt with `bs` broadcast delay slots per cycle: per group, the sum
+/// over firing positions of the contention-expanded sub-cycles
+/// `⌈distinct/BS⌉`; the slot waits for the slowest group.
+pub fn opt_slot_cost(demand: &SlotDemand, bs: usize) -> OptSlotCost {
+    let mut cost = OptSlotCost {
+        cz_count: demand.cz_count(),
+        ..OptSlotCost::default()
+    };
+    for runs in demand.groups() {
+        let mut group_cycles = 0u64;
+        for run in runs {
+            let sub = (run.distinct as u64).div_ceil(bs as u64);
+            group_cycles += sub;
+            cost.serialization_cycles += sub - 1;
         }
+        cost.oneq_cycles = cost.oneq_cycles.max(group_cycles);
     }
-    // Per group: sum over firing positions of the contention-expanded
-    // sub-cycles; the slot waits for the slowest group.
-    let mut per_group: HashMap<usize, u64> = HashMap::new();
-    for ((group, _pos), classes) in &demands {
-        let sub = (classes.len() as u64).div_ceil(bs as u64);
-        *per_group.entry(*group).or_insert(0) += sub;
-        cost.serialization_cycles += sub - 1;
-    }
-    cost.oneq_cycles = per_group.values().copied().max().unwrap_or(0);
     cost
 }
 
@@ -255,8 +236,10 @@ pub fn execute(
         ControllerDesign::DigiqOpt { bs } => bs,
         _ => unreachable!("non-opt designs returned above"),
     };
+    let mut demand = SlotDemand::new();
     for slot in slots {
-        let cost = opt_slot_cost(circuit, slot, group_of, &model, bs);
+        demand.gather(circuit, slot, group_of, &model);
+        let cost = opt_slot_cost(&demand, bs);
         let mut slot_ns = cost.oneq_cycles as f64 * cycle;
         report.oneq_cycles += cost.oneq_cycles;
         report.serialization_cycles += cost.serialization_cycles;

@@ -14,7 +14,7 @@
 //!   count and unchanged by warm caches.
 
 use digiq_core::cosim::{diff_analytic, simulate, CosimParams, CosimReport};
-use digiq_core::delay_model::DelayModel;
+use digiq_core::delay_model::{DelayModel, SlotDemand};
 use digiq_core::design::{ControllerDesign, SystemConfig};
 use digiq_core::engine::{CosimSweepReport, EvalEngine, SweepSpec};
 use digiq_core::exec::{checkerboard_groups, execute, opt_slot_cost, ExecParams};
@@ -107,45 +107,51 @@ fn opt_totals_match_under_identical_draws() {
 
 #[test]
 fn opt_serialization_is_attributed_to_the_same_slots() {
-    let grid = Grid::new(6, 6);
-    let (physical, slots) = compile(Benchmark::Qgan, &grid);
-    let groups = checkerboard_groups(grid.cols(), physical.n_qubits(), 2);
-    let design = ControllerDesign::DigiqOpt { bs: 2 }; // narrow BS → contention
-    let params = params_for(design, physical.n_qubits());
-    let cosim = simulate(
-        &physical,
-        &slots,
-        &groups,
-        &CosimParams::new(params.clone()),
-    );
-    assert!(
-        cosim.serialization_cycles > 0,
-        "BS=2 must serialize this workload"
-    );
-
-    // Recompute the analytic per-slot cost through the shared delay model
-    // and demand that the co-simulator charged contention to exactly the
-    // same slots, cycle for cycle.
-    let model = DelayModel::new(&params);
-    let mut attributed = 0u64;
-    for (si, slot) in slots.iter().enumerate() {
-        let cost = opt_slot_cost(&physical, slot, &groups, &model, 2);
-        let cosim_cycles = cosim
-            .slot_serialization
-            .iter()
-            .find(|s| s.slot == si)
-            .map(|s| s.cycles)
-            .unwrap_or(0);
-        assert_eq!(
-            cosim_cycles, cost.serialization_cycles,
-            "slot {si}: cosim attributed {cosim_cycles}, analytic charges {}",
-            cost.serialization_cycles
+    // The lockstep must hold at paper scale (32×32), not only on the
+    // small 6×6 grid.
+    for grid in [Grid::new(6, 6), Grid::new(32, 32)] {
+        let (physical, slots) = compile(Benchmark::Qgan, &grid);
+        let groups = checkerboard_groups(grid.cols(), physical.n_qubits(), 2);
+        let design = ControllerDesign::DigiqOpt { bs: 2 }; // narrow BS → contention
+        let params = params_for(design, physical.n_qubits());
+        let cosim = simulate(
+            &physical,
+            &slots,
+            &groups,
+            &CosimParams::new(params.clone()),
         );
-        attributed += cosim_cycles;
+        let n = physical.n_qubits();
+        assert!(
+            cosim.serialization_cycles > 0,
+            "BS=2 must serialize this workload ({n} qubits)"
+        );
+
+        // Recompute the analytic per-slot cost through the shared delay
+        // model and demand that the co-simulator charged contention to
+        // exactly the same slots, cycle for cycle.
+        let model = DelayModel::new(&params);
+        let mut demand = SlotDemand::new();
+        let mut attributed = 0u64;
+        for (si, slot) in slots.iter().enumerate() {
+            demand.gather(&physical, slot, &groups, &model);
+            let cost = opt_slot_cost(&demand, 2);
+            let cosim_cycles = cosim
+                .slot_serialization
+                .iter()
+                .find(|s| s.slot == si)
+                .map(|s| s.cycles)
+                .unwrap_or(0);
+            assert_eq!(
+                cosim_cycles, cost.serialization_cycles,
+                "{n} qubits, slot {si}: cosim attributed {cosim_cycles}, analytic charges {}",
+                cost.serialization_cycles
+            );
+            attributed += cosim_cycles;
+        }
+        assert_eq!(attributed, cosim.serialization_cycles);
+        // The sparse list only carries contended slots.
+        assert!(cosim.slot_serialization.iter().all(|s| s.cycles > 0));
     }
-    assert_eq!(attributed, cosim.serialization_cycles);
-    // The sparse list only carries contended slots.
-    assert!(cosim.slot_serialization.iter().all(|s| s.cycles > 0));
 }
 
 #[test]

@@ -98,7 +98,7 @@ fn fidelity_bounds_and_phase_invariance() {
         let mut rng = StdRng::seed_from_u64(case);
         let u = random_su2(&mut rng);
         let v = random_su2(&mut rng);
-        let phase = rng.gen_range(0.0..6.28);
+        let phase = rng.gen_range(0.0..std::f64::consts::TAU);
         let f = average_gate_fidelity(&u, &v);
         assert!((0.0..=1.0).contains(&f), "case {case}");
         // Global phase on either argument changes nothing.
@@ -150,7 +150,7 @@ fn zyz_decomposition_roundtrip() {
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(case);
         let u = random_su2(&mut rng);
-        let phase = rng.gen_range(0.0..6.28);
+        let phase = rng.gen_range(0.0..std::f64::consts::TAU);
         let phased = u.scale(C64::cis(phase));
         let (theta, phi, lam, g) = gates::zyz_angles(&phased);
         let rebuilt = gates::u_zyz(theta, phi, lam).scale(C64::cis(g));
