@@ -220,6 +220,21 @@ fn bench_decomposition(h: &mut Bench) {
     h.bench("opt_decompose_L2", || {
         calib::opt_decomp::decompose_opt(black_box(&target), &basis, 0.0, 2, 0.0)
     });
+    // The Fig 10a hot path: X on a drifted basis at err_target 0 never
+    // exits early, so every L = 3 stem (96 best L = 2 + the 32×32 grid)
+    // and the refinement run.
+    let drifted = calib::opt_decomp::OptBasis {
+        ubs: qsim::gates::rz(0.21)
+            .matmul(&qsim::gates::ry(std::f64::consts::FRAC_PI_2 + 0.07))
+            .matmul(&qsim::gates::rz(-0.13)),
+        phase_per_tick: 2.0 * std::f64::consts::PI * 0.2487,
+        n_delays: 255,
+    };
+    let tables = calib::opt_decomp::OptTables::build(&drifted);
+    let x = qsim::gates::x();
+    h.bench("opt_decompose_L3", || {
+        calib::opt_decomp::decompose_opt_with(&tables, black_box(&x), 0.0, 3, 0.0)
+    });
     let min_basis = calib::min_decomp::MinBasis::ideal_ry_t();
     let db = calib::min_decomp::SequenceDb::build(&min_basis, 10);
     h.bench("min_mitm_query_depth20", || {

@@ -46,7 +46,7 @@ pub fn calibrate_shared_pulse(pair: &CoupledTransmons, rise_ns: f64, dt_ns: f64)
         let wf = DetuningWaveform::rounded(delta, rise_ns, hold, dt_ns);
         let uqq = pair.uqq_with_cache(&wf, &cache);
         let err = cz_error_with_local_1q(&uqq, 1, 4, 0xCA11);
-        if best.as_ref().map_or(true, |(e, _)| err < *e) {
+        if best.as_ref().is_none_or(|(e, _)| err < *e) {
             best = Some((err, wf));
         }
         hold += 0.5;

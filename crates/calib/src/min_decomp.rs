@@ -132,7 +132,7 @@ impl SequenceDb {
                     // Gate fired after the existing sequence: new = op ∘ q.
                     let nq = op.compose(q);
                     let key = cell_key(nq, dedup_res);
-                    let dup = seen.get(&key).map_or(false, |v| {
+                    let dup = seen.get(&key).is_some_and(|v| {
                         v.iter().any(|&i| entries[i as usize].0.distance(nq) < 1e-6)
                     });
                     if dup {

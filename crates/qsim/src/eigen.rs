@@ -382,7 +382,10 @@ fn jacobi_sweep(md: &mut [C64], vd: &mut [C64], row_off: &mut [f64], n: usize, t
             // `(−0)·s + ((+0)·j_qq.im + (+0)·j_qq.re)`: a `−0` result
             // needs every addend negative-signed, which requires `s`
             // non-negative-signed *and* `j_qq.re` negative-signed. See
-            // [`rotate_columns2`] for the skip itself.
+            // [`rotate_columns2`] for the skip itself. The last term stays
+            // in the "not (s ≥ +0 and j_qq.re ≤ −0)" form of that argument:
+            // clippy's minimal `||` form compiles to a branch in this loop.
+            #[allow(clippy::nonminimal_bool)]
             let vskip = c.is_finite()
                 && c > 0.0
                 && s.is_finite()

@@ -199,7 +199,7 @@ pub fn multistart_nelder_mead(
             .max(1e-6);
         let r = nelder_mead(&mut f, &x0, span * 0.25, max_iter, 1e-14);
         total_evals += r.evals;
-        if best.as_ref().map_or(true, |b| r.value < b.value) {
+        if best.as_ref().is_none_or(|b| r.value < b.value) {
             best = Some(r);
         }
     }
