@@ -1,7 +1,7 @@
 //! Timing kernels for the computational hot paths behind every figure:
-//! Hamiltonian propagation (Fig 7), bitstream fitness (§V-A step 1), gate
-//! decomposition (Fig 10a), routing, DigiQ_opt execution and synthesis
-//! (Figs 8/9).
+//! Hamiltonian propagation (Fig 7), bitstream fitness and search (§V-A
+//! step 1), gate decomposition (Fig 10a), routing, DigiQ_opt execution
+//! and synthesis (Figs 8/9).
 //!
 //! Runs on the std-only harness in `digiq_bench::timing` (no criterion —
 //! the workspace is offline and dependency-free). `--quick` shrinks the
@@ -210,6 +210,22 @@ fn bench_bitstream(h: &mut Bench) {
             black_box(&m),
             &target,
             calib::bitstream::ZFreedom::PrePost,
+        )
+    });
+    // One whole `calibrate_shared` search (the Fig 10 set-up): Ry(π/2)
+    // with free z-phases at the high parking frequency, 253 ticks, the
+    // bounded error model's GA, then the prefix-reused polish.
+    let cfg = calib::bitstream::SearchConfig {
+        length: 253,
+        ga: digiq_core::error_model::ErrorModelConfig::small(1).ga,
+    };
+    h.bench("find_bitstream_ry_253", || {
+        calib::bitstream::find_bitstream(
+            qsim::transmon::Transmon::new(6.21286),
+            SfqParams::default(),
+            black_box(&target),
+            calib::bitstream::ZFreedom::PrePost,
+            &cfg,
         )
     });
 }

@@ -17,8 +17,8 @@ fn main() {
     println!("Table I: design space for SFQ-based single-qubit gate controllers");
     digiq_bench::rule(100);
     println!(
-        "{:22} | {:42} | {:24} | {}",
-        "design", "scalability", "execution", "calibration"
+        "{:22} | {:42} | {:24} | calibration",
+        "design", "scalability", "execution"
     );
     digiq_bench::rule(100);
     for row in &rows {

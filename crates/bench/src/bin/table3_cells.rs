@@ -29,8 +29,8 @@ fn main() {
     println!("Table III: RSFQ cell library");
     digiq_bench::rule(56);
     println!(
-        "{:10} | {:>11} | {:>8} | {:>9} | {}",
-        "cell", "area (um2)", "JJs", "delay(ps)", "source"
+        "{:10} | {:>11} | {:>8} | {:>9} | source",
+        "cell", "area (um2)", "JJs", "delay(ps)"
     );
     digiq_bench::rule(56);
     for c in sfq_hw::cells::ALL_CELLS {

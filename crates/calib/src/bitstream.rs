@@ -15,13 +15,24 @@
 //! Fitness uses the leakage-aware average gate fidelity; for DigiQ_opt's
 //! Ry(π/2) the pre/post z-phases are free (the delay mechanism supplies
 //! them), which this module maximizes in closed form.
+//!
+//! A fitness call propagates only the two leading lab-frame columns with
+//! the row-sparse kernel of `qsim::pulse` and reuses its buffers. The
+//! greedy bit-flip polish after the GA keeps the two-column state after
+//! `bits[..i]`: flip `i` is scored by advancing a copy of that state over
+//! `bits[i..]` (`L − i` ticks instead of `L`), and the state then advances
+//! by whichever bit was kept. The prefix state is exactly what a full
+//! evaluation computes after `i` ticks, so every score, and every returned
+//! bitstream, is bit-identical to evaluating each flipped stream from
+//! scratch.
 
 use qsim::complex::C64;
 use qsim::matrix::CMat;
 use qsim::optimize::{ga_bitstring, GaConfig};
-use qsim::pulse::{SfqParams, SfqPulseSim};
+use qsim::pulse::{SfqParams, SfqPulseSim, SparseRows};
 use qsim::transmon::Transmon;
 use std::f64::consts::PI;
+use std::sync::OnceLock;
 
 /// Phase freedom granted to the target during fitness evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,21 +74,19 @@ pub fn fidelity_with_freedom(m: &CMat, v: &CMat, freedom: ZFreedom) -> f64 {
             // |X00|+|X11|; scan a (the sinusoids make 256 points ample),
             // then golden-refine.
             let vd = v.dagger();
-            let best_at = |a: f64| -> f64 {
-                let d0 = C64::cis(a / 2.0);
-                let d1 = C64::cis(-a / 2.0);
+            let overlap = |d0: C64, d1: C64| -> f64 {
                 let x00 = vd[(0, 0)] * d0 * m[(0, 0)] + vd[(0, 1)] * d1 * m[(1, 0)];
                 let x11 = vd[(1, 0)] * d0 * m[(0, 1)] + vd[(1, 1)] * d1 * m[(1, 1)];
                 x00.abs() + x11.abs()
             };
+            let best_at = |a: f64| -> f64 { overlap(C64::cis(a / 2.0), C64::cis(-a / 2.0)) };
             let mut best = 0.0f64;
             let mut best_a = 0.0f64;
-            for k in 0..256 {
-                let a = k as f64 / 256.0 * 4.0 * PI; // period 4π in a/2
-                let s = best_at(a);
+            for (k, &(d0, d1)) in coarse_phases().iter().enumerate() {
+                let s = overlap(d0, d1);
                 if s > best {
                     best = s;
-                    best_a = a;
+                    best_a = coarse_angle(k);
                 }
             }
             // Local refinement.
@@ -95,6 +104,64 @@ pub fn fidelity_with_freedom(m: &CMat, v: &CMat, freedom: ZFreedom) -> f64 {
         }
     };
     ((mm + overlap2) / 6.0).clamp(0.0, 1.0)
+}
+
+/// Coarse-scan angle `k` of [`fidelity_with_freedom`]'s `PrePost` phase
+/// search: 256 points over `[0, 4π)` (period 4π in `a/2`).
+fn coarse_angle(k: usize) -> f64 {
+    k as f64 / 256.0 * 4.0 * PI
+}
+
+/// `(cis(a/2), cis(−a/2))` at every coarse-scan angle, computed once from
+/// the same expressions the refinement points use.
+fn coarse_phases() -> &'static [(C64, C64)] {
+    static PHASES: OnceLock<Vec<(C64, C64)>> = OnceLock::new();
+    PHASES.get_or_init(|| {
+        (0..256)
+            .map(|k| {
+                let a = coarse_angle(k);
+                (C64::cis(a / 2.0), C64::cis(-a / 2.0))
+            })
+            .collect()
+    })
+}
+
+/// The search fitness with reusable buffers: the fidelity of a
+/// bitstream's qubit block, computed from the two leading lab-frame
+/// columns.
+struct Fitness<'a> {
+    sim: &'a SfqPulseSim,
+    /// `R(L·T_clk)†` for the search length `L`.
+    frame: SparseRows,
+    target: &'a CMat,
+    freedom: ZFreedom,
+    state: CMat,
+    scratch: CMat,
+    block: CMat,
+}
+
+impl<'a> Fitness<'a> {
+    fn new(sim: &'a SfqPulseSim, len: usize, target: &'a CMat, freedom: ZFreedom) -> Self {
+        let state = sim.qubit_columns();
+        Fitness {
+            sim,
+            frame: sim.frame_dagger(len),
+            target,
+            freedom,
+            scratch: state.clone(),
+            state,
+            block: CMat::zeros(2, 2),
+        }
+    }
+
+    /// Fidelity of the length-`L` stream whose leading bits left the
+    /// two-column state `prefix` and whose remaining bits are `rest`.
+    fn after(&mut self, prefix: &CMat, rest: &[bool]) -> f64 {
+        self.state.copy_from(prefix);
+        self.sim.advance(&mut self.state, &mut self.scratch, rest);
+        self.frame.apply_columns(&self.state, &mut self.block);
+        fidelity_with_freedom(&self.block, self.target, self.freedom)
+    }
 }
 
 /// A constructive pulse comb: `n_pulses` pulses, one per qubit period,
@@ -194,29 +261,37 @@ pub fn find_bitstream(
         seeds.push(vec![false; cfg.length]);
     }
 
-    let fitness = |bits: &[bool]| -> f64 {
-        let m = sim.frame_gate_qubit(bits);
-        fidelity_with_freedom(&m, target, freedom)
-    };
-    let result = ga_bitstring(&fitness, cfg.length, &seeds, cfg.ga);
+    let start = sim.qubit_columns();
+    let mut fitness = Fitness::new(&sim, cfg.length, target, freedom);
+    let result = ga_bitstring(
+        |bits| fitness.after(&start, bits),
+        cfg.length,
+        &seeds,
+        cfg.ga,
+    );
 
     // Greedy single-bit-flip polish: repeatedly accept any flip that
     // improves fidelity, until a full sweep finds none. Cheap (a few
-    // hundred evaluations) and reliably gains a decade of error.
+    // hundred evaluations) and reliably gains a decade of error. `prefix`
+    // is the state after `bits[..i]` (module docs).
     let mut bits = result.bits;
-    let mut best_f = fitness(&bits);
+    let mut best_f = result.fitness;
+    let mut prefix = start.clone();
+    let mut scratch = start.clone();
     let mut improved = true;
     while improved {
         improved = false;
+        prefix.copy_from(&start);
         for i in 0..bits.len() {
             bits[i] = !bits[i];
-            let f = fitness(&bits);
+            let f = fitness.after(&prefix, &bits[i..]);
             if f > best_f {
                 best_f = f;
                 improved = true;
             } else {
                 bits[i] = !bits[i];
             }
+            sim.advance(&mut prefix, &mut scratch, &bits[i..=i]);
         }
     }
     BitstreamResult {

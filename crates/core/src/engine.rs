@@ -1417,7 +1417,7 @@ impl EvalEngine {
         }
 
         let groups =
-            checkerboard_groups(grid.cols(), grid.n_qubits(), job.point.groups.min(2).max(1));
+            checkerboard_groups(grid.cols(), grid.n_qubits(), job.point.groups.clamp(1, 2));
         JobContext {
             key,
             circuit,

@@ -191,7 +191,7 @@ impl DigiqSystem {
         let groups = checkerboard_groups(
             self.grid.cols(),
             self.grid.n_qubits(),
-            self.config.groups.min(2).max(1),
+            self.config.groups.clamp(1, 2),
         );
         (artifact, metrics, groups)
     }

@@ -287,7 +287,7 @@ impl BlockAdderLayout {
     /// Panics if `n` is not a positive multiple of `block`.
     pub fn new(n: usize, block: usize) -> Self {
         assert!(
-            block > 0 && n > 0 && n % block == 0,
+            block > 0 && n > 0 && n.is_multiple_of(block),
             "n must be a multiple of block"
         );
         let nb = n / block;
@@ -492,7 +492,10 @@ impl GroverSqrtLayout {
     ///
     /// Panics if `bits` is zero or odd.
     pub fn new(bits: usize) -> Self {
-        assert!(bits > 0 && bits % 2 == 0, "radicand width must be even");
+        assert!(
+            bits > 0 && bits.is_multiple_of(2),
+            "radicand width must be even"
+        );
         let x_bits = bits / 2;
         // x | acc(bits) | y shifted-copy (bits) | cin+cout | mcz ancillas
         let qubits = x_bits + bits + bits + 2 + bits.saturating_sub(2);
@@ -665,7 +668,7 @@ pub fn grover_sqrt(bits: usize, target: u64) -> Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::StateVector;
+    use crate::ir::{BasisState, StateVector};
 
     /// Loads integer `val` into the qubits `bit(i)` (LSB first) of a
     /// zero-initialized state by listing X positions.
@@ -735,36 +738,70 @@ mod tests {
         }
     }
 
+    /// `|a, b⟩` loaded with X gates, then the block look-ahead adder.
+    fn block_adder_run(lay: &BlockAdderLayout, a_val: u64, b_val: u64) -> Circuit {
+        let mut c = Circuit::new(lay.qubits);
+        x_load(&mut c, a_val, |i| lay.a(i), lay.n);
+        x_load(&mut c, b_val, |i| lay.b(i), lay.n);
+        c.extend(&block_lookahead_adder(lay.n, lay.block));
+        c
+    }
+
+    /// Checks the adder's output: `b` holds `a + b mod 2^n`, the last
+    /// carry the overflow bit, and `a` is restored.
+    fn check_adder_output(
+        lay: &BlockAdderLayout,
+        a_val: u64,
+        b_val: u64,
+        bit: impl Fn(usize) -> bool,
+    ) {
+        let n = lay.n;
+        let read = |qubit: fn(&BlockAdderLayout, usize) -> usize| -> u64 {
+            (0..n).map(|i| (bit(qubit(lay, i)) as u64) << i).sum()
+        };
+        let carry = bit(lay.carry(lay.n_blocks())) as u64;
+        let sum = read(BlockAdderLayout::b);
+        assert_eq!(sum, (a_val + b_val) % (1 << n), "sum a={a_val} b={b_val}");
+        assert_eq!(carry, (a_val + b_val) >> n, "carry a={a_val} b={b_val}");
+        assert_eq!(read(BlockAdderLayout::a), a_val, "a not restored");
+    }
+
     #[test]
     fn block_adder_adds_exhaustively() {
-        // 4-bit operands, 2-bit blocks: 18 qubits — exhaustive over 256
-        // operand pairs.
-        let n = 4;
-        let lay = BlockAdderLayout::new(n, 2);
-        for a_val in 0..16u64 {
-            for b_val in 0..16u64 {
-                let mut c = Circuit::new(lay.qubits);
-                x_load(&mut c, a_val, |i| lay.a(i), n);
-                x_load(&mut c, b_val, |i| lay.b(i), n);
-                c.extend(&block_lookahead_adder(n, 2));
-                let mut sv = StateVector::zero(lay.qubits);
-                sv.apply_circuit(&c);
-                let (idx, p) = sv.argmax();
-                assert!(p > 1.0 - 1e-9, "state not classical");
-                let bit = |q: usize| (idx >> (lay.qubits - 1 - q)) & 1;
-                let mut sum = 0u64;
-                for i in 0..n {
-                    sum |= (bit(lay.b(i)) as u64) << i;
+        // Every pair of 6-bit operands with 2- and 3-bit blocks (25 and 23
+        // qubits) on the basis-state simulator: the adder is classical.
+        for block in [2, 3] {
+            let lay = BlockAdderLayout::new(6, block);
+            for a_val in 0..64u64 {
+                for b_val in 0..64u64 {
+                    let mut s = BasisState::zero(lay.qubits);
+                    s.apply_circuit(&block_adder_run(&lay, a_val, b_val))
+                        .expect("the adder uses classical gates only");
+                    check_adder_output(&lay, a_val, b_val, |q| s.bit(q));
                 }
-                let carry = bit(lay.carry(lay.n_blocks())) as u64;
-                assert_eq!(sum, (a_val + b_val) & 15, "sum a={a_val} b={b_val}");
-                assert_eq!(carry, (a_val + b_val) >> 4, "carry a={a_val} b={b_val}");
-                let mut a_after = 0u64;
-                for i in 0..n {
-                    a_after |= (bit(lay.a(i)) as u64) << i;
-                }
-                assert_eq!(a_after, a_val, "a not restored");
             }
+        }
+    }
+
+    #[test]
+    fn block_adder_statevector_cross_check() {
+        // A few seeded 4-bit pairs (18 qubits) on the full statevector
+        // simulator, which must agree with the basis-state run qubit by
+        // qubit.
+        let lay = BlockAdderLayout::new(4, 2);
+        let mut rng = qsim::rng::StdRng::seed_from_u64(0xADD4);
+        for _ in 0..3 {
+            let (a_val, b_val) = (rng.gen_range(0..16u64), rng.gen_range(0..16u64));
+            let c = block_adder_run(&lay, a_val, b_val);
+            let mut sv = StateVector::zero(lay.qubits);
+            sv.apply_circuit(&c);
+            let (idx, p) = sv.argmax();
+            assert!(p > 1.0 - 1e-9, "state not classical");
+            let bit = |q: usize| (idx >> (lay.qubits - 1 - q)) & 1 == 1;
+            check_adder_output(&lay, a_val, b_val, bit);
+            let mut s = BasisState::zero(lay.qubits);
+            s.apply_circuit(&c).expect("classical");
+            assert!((0..lay.qubits).all(|q| s.bit(q) == bit(q)));
         }
     }
 

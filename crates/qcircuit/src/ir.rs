@@ -675,6 +675,56 @@ impl StateVector {
     }
 }
 
+/// Basis-state simulation of classical reversible circuits.
+///
+/// X, CX, CCX and SWAP permute computational basis states, so a circuit
+/// built only from them maps a basis state to one basis state: one bit
+/// per qubit and one step per gate, at any qubit count. This is the
+/// oracle for arithmetic generators (adders), where a [`StateVector`]
+/// would need `2^n` amplitudes. Any other gate is refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BasisState {
+    bits: Vec<bool>,
+}
+
+impl BasisState {
+    /// The all-zeros basis state.
+    pub fn zero(n_qubits: usize) -> Self {
+        BasisState {
+            bits: vec![false; n_qubits],
+        }
+    }
+
+    /// The value of qubit `q`.
+    pub fn bit(&self, q: usize) -> bool {
+        self.bits[q]
+    }
+
+    /// Applies one gate, or returns it unapplied if it is not a basis
+    /// permutation (a one-qubit gate other than X, or CZ).
+    pub fn apply_gate(&mut self, g: &Gate) -> Result<(), Gate> {
+        match *g {
+            Gate::OneQ { q, kind: OneQ::X } => self.bits[q] ^= true,
+            Gate::Cx { c, t } => self.bits[t] ^= self.bits[c],
+            Gate::Ccx { c1, c2, t } => self.bits[t] ^= self.bits[c1] && self.bits[c2],
+            Gate::Swap { a, b } => self.bits.swap(a, b),
+            Gate::OneQ { .. } | Gate::Cz { .. } => return Err(*g),
+        }
+        Ok(())
+    }
+
+    /// Applies a full circuit, stopping at (and returning) the first gate
+    /// that is not a basis permutation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit has more qubits than the state.
+    pub fn apply_circuit(&mut self, c: &Circuit) -> Result<(), Gate> {
+        assert!(c.n_qubits() <= self.bits.len());
+        c.gates().iter().try_for_each(|g| self.apply_gate(g))
+    }
+}
+
 /// Returns angle wrapped into `(−π, π]` — convenient when comparing
 /// compiled rotation parameters.
 pub fn wrap_angle(a: f64) -> f64 {
@@ -881,5 +931,69 @@ mod tests {
             Circuit::new(3).cache_key(),
             "width must be part of the key"
         );
+    }
+
+    #[test]
+    fn basis_state_matches_statevector_on_classical_circuits() {
+        use qsim::rng::StdRng;
+        let n = 6;
+        for case in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let mut c = Circuit::new(n);
+            for _ in 0..30 {
+                let q: Vec<usize> = (0..3).map(|_| rng.gen_range(0..n)).collect();
+                match rng.gen_range(0..4usize) {
+                    0 => c.x(q[0]),
+                    1 if q[0] != q[1] => c.cx(q[0], q[1]),
+                    2 if q[0] != q[1] => c.swap(q[0], q[1]),
+                    3 if q[0] != q[1] && q[1] != q[2] && q[0] != q[2] => c.ccx(q[0], q[1], q[2]),
+                    _ => {}
+                }
+            }
+            let mut basis = BasisState::zero(n);
+            basis.apply_circuit(&c).expect("classical gates only");
+            let mut sv = StateVector::zero(n);
+            sv.apply_circuit(&c);
+            let (idx, p) = sv.argmax();
+            assert!(p > 1.0 - 1e-12, "case {case}");
+            for q in 0..n {
+                assert_eq!(
+                    basis.bit(q),
+                    (idx >> (n - 1 - q)) & 1 == 1,
+                    "case {case}, qubit {q}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn basis_state_refuses_non_classical_gates() {
+        let mut c = Circuit::new(2);
+        c.x(0);
+        c.h(1);
+        c.cx(0, 1);
+        let mut basis = BasisState::zero(2);
+        assert_eq!(
+            basis.apply_circuit(&c),
+            Err(Gate::OneQ {
+                q: 1,
+                kind: OneQ::H
+            })
+        );
+        // Gates before the refused one were applied; none after it.
+        assert!(basis.bit(0) && !basis.bit(1));
+        for g in [
+            Gate::Cz { a: 0, b: 1 },
+            Gate::OneQ {
+                q: 0,
+                kind: OneQ::Z,
+            },
+            Gate::OneQ {
+                q: 0,
+                kind: OneQ::Rx(PI),
+            },
+        ] {
+            assert_eq!(BasisState::zero(2).apply_gate(&g), Err(g));
+        }
     }
 }

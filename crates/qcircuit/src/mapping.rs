@@ -315,7 +315,7 @@ pub fn route_with(
             route_once_into(ws, c, grid, initial, cfg.seed.wrapping_add(t as u64), cfg);
         // Strictly-fewer-swaps keeps the FIRST minimal trial, matching
         // the historical selection; only improving trials materialize.
-        if best.as_ref().map_or(true, |b| swap_count < b.swap_count) {
+        if best.as_ref().is_none_or(|b| swap_count < b.swap_count) {
             best = Some(RoutedCircuit {
                 circuit: ws.out.clone(),
                 final_layout: ws.layout.clone(),
@@ -394,6 +394,9 @@ pub fn route_lookahead_with(
                     // iteration; candidates below patch only the gates
                     // whose endpoints ride the swapped pair.
                     let mut window_len = 0usize;
+                    // `k` also indexes `upcoming` and sizes the window; the
+                    // index loop keeps the router's machine code.
+                    #[allow(clippy::needless_range_loop)]
                     for k in 0..window {
                         let idx = next_2q + 1 + k;
                         if idx >= upcoming.len() {
@@ -505,6 +508,9 @@ fn route_once_into(
                     // Window front-gate distances, once per SWAP iteration
                     // instead of once per candidate.
                     let mut window_len = 0usize;
+                    // `k` also indexes `upcoming` and sizes the window; the
+                    // index loop keeps the router's machine code.
+                    #[allow(clippy::needless_range_loop)]
                     for k in 0..cfg.lookahead {
                         let idx = next_2q + 1 + k;
                         if idx >= upcoming.len() {
@@ -552,7 +558,7 @@ fn route_once_into(
                                     + rng.gen::<f64>() * 1e-3;
                                 // Weight multiply, two adds, tie-break scale.
                                 qsim::counters::tally_flops(4);
-                                if best.map_or(true, |(_, _, bs)| score < bs) {
+                                if best.is_none_or(|(_, _, bs)| score < bs) {
                                     best = Some((end, n, score));
                                 }
                             }

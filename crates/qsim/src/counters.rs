@@ -15,7 +15,9 @@
 //!   vectors outside the matrix type.
 //! * **flops** — 8 per complex multiply-accumulate:
 //!   `matmul`/`matmul_into` count `8·rows·inner·cols`, `apply`/
-//!   `apply_into` count `8·rows·cols`, one Jacobi plane rotation counts
+//!   `apply_into` count `8·rows·cols`, the row-sparse pulse kernel
+//!   (`pulse::SparseRows::apply_columns`) counts `8·nnz(row)·cols` per
+//!   computed row, one Jacobi plane rotation counts
 //!   `48·n` (three n-length two-output updates of two complex MACs
 //!   each), and the fused spectral apply counts `8·n³ + 6·n²`.
 //! * **compile passes** (qcircuit routers/schedulers) — one alloc per

@@ -9,7 +9,9 @@
 //! * [`ga_bitstring`] — a genetic algorithm over fixed-length bitstrings
 //!   (SFQ bitstream discovery, the approach of refs [13] and [35]).
 //!
-//! All optimizers are deterministic given a seed.
+//! All optimizers are deterministic given a seed. A NaN objective never
+//! panics: it ranks worst, and every pair of numbers keeps its
+//! `partial_cmp` order (so `−0` and `+0` tie, as before).
 //!
 //! # Examples
 //!
@@ -22,6 +24,30 @@
 //! ```
 
 use crate::rng::StdRng;
+use std::cmp::Ordering;
+
+/// Orders two objective values best first: `partial_cmp` between numbers
+/// (ascending when minimizing, descending when maximizing) and NaN after
+/// every number. `f64::total_cmp` would instead split `−0` from `+0` and
+/// move ties.
+fn rank(a: f64, b: f64, minimize: bool) -> Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (false, false) => {
+            let ord = a.partial_cmp(&b).expect("numbers are ordered");
+            if minimize {
+                ord
+            } else {
+                ord.reverse()
+            }
+        }
+        (a_nan, b_nan) => a_nan.cmp(&b_nan),
+    }
+}
+
+/// True when `a` strictly beats `b` under [`rank`].
+fn beats(a: f64, b: f64, minimize: bool) -> bool {
+    rank(a, b, minimize) == Ordering::Less
+}
 
 /// Result of a continuous optimization.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,7 +103,7 @@ pub fn nelder_mead(
     for _ in 0..max_iter {
         // Sort simplex by value.
         let mut order: Vec<usize> = (0..=n).collect();
-        order.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).unwrap());
+        order.sort_by(|&a, &b| rank(values[a], values[b], true));
         let simplex_sorted: Vec<Vec<f64>> = order.iter().map(|&i| simplex[i].clone()).collect();
         let values_sorted: Vec<f64> = order.iter().map(|&i| values[i]).collect();
         simplex = simplex_sorted;
@@ -151,7 +177,7 @@ pub fn nelder_mead(
 
     let mut best = 0;
     for i in 1..=n {
-        if values[i] < values[best] {
+        if beats(values[i], values[best], true) {
             best = i;
         }
     }
@@ -199,7 +225,7 @@ pub fn multistart_nelder_mead(
             .max(1e-6);
         let r = nelder_mead(&mut f, &x0, span * 0.25, max_iter, 1e-14);
         total_evals += r.evals;
-        if best.as_ref().is_none_or(|b| r.value < b.value) {
+        if best.as_ref().is_none_or(|b| beats(r.value, b.value, true)) {
             best = Some(r);
         }
     }
@@ -268,7 +294,7 @@ pub fn differential_evolution(
             }
             evals += 1;
             let fv = f(&trial);
-            if fv <= values[i] {
+            if !beats(values[i], fv, true) {
                 population[i] = trial;
                 values[i] = fv;
             }
@@ -278,7 +304,7 @@ pub fn differential_evolution(
     let best = values
         .iter()
         .enumerate()
-        .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+        .min_by(|a, b| rank(*a.1, *b.1, true))
         .map(|(i, _)| i)
         .unwrap();
     OptResult {
@@ -337,6 +363,10 @@ impl Default for GaConfig {
 /// is random. This mirrors the genetic bitstream search of the paper's
 /// ref [13].
 ///
+/// `fitness` must be a pure function of the bits: elites carried into the
+/// next generation unchanged keep their scores instead of being re-scored.
+/// A NaN fitness ranks below every number.
+///
 /// # Panics
 ///
 /// Panics if `len == 0`, `cfg.population < 4`, or any seed has the wrong
@@ -374,32 +404,19 @@ pub fn ga_bitstring(
     }
     let mut scores: Vec<f64> = population.iter().map(|p| fitness(p)).collect();
 
-    let mut best_idx = 0;
-    for gen in 0..cfg.generations {
-        // Track best.
-        for (i, &s) in scores.iter().enumerate() {
-            if s > scores[best_idx] {
-                best_idx = i;
-            }
-        }
-        if gen + 1 == cfg.generations {
-            break;
-        }
-
+    for _ in 1..cfg.generations {
         let mut order: Vec<usize> = (0..cfg.population).collect();
-        order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap());
+        order.sort_by(|&a, &b| rank(scores[a], scores[b], false));
 
-        let mut next: Vec<Vec<bool>> = order
-            .iter()
-            .take(cfg.elitism)
-            .map(|&i| population[i].clone())
-            .collect();
+        let elites = &order[..cfg.elitism.min(cfg.population)];
+        let mut next: Vec<Vec<bool>> = elites.iter().map(|&i| population[i].clone()).collect();
+        let mut next_scores: Vec<f64> = elites.iter().map(|&i| scores[i]).collect();
 
         let tournament_pick = |rng: &mut StdRng, scores: &[f64]| -> usize {
             let mut best = rng.gen_range(0..cfg.population);
             for _ in 1..cfg.tournament {
                 let c = rng.gen_range(0..cfg.population);
-                if scores[c] > scores[best] {
+                if beats(scores[c], scores[best], false) {
                     best = c;
                 }
             }
@@ -423,15 +440,16 @@ pub fn ga_bitstring(
                     *b = !*b;
                 }
             }
+            next_scores.push(fitness(&child));
             next.push(child);
         }
         population = next;
-        scores = population.iter().map(|p| fitness(p)).collect();
-        best_idx = 0;
+        scores = next_scores;
     }
 
+    let mut best_idx = 0;
     for (i, &s) in scores.iter().enumerate() {
-        if s > scores[best_idx] {
+        if beats(s, scores[best_idx], false) {
             best_idx = i;
         }
     }
@@ -521,7 +539,7 @@ mod tests {
         let r = ga_bitstring(
             move |b| b.iter().zip(sc.iter()).filter(|(x, y)| x == y).count() as f64,
             32,
-            &[secret.clone()],
+            std::slice::from_ref(&secret),
             GaConfig {
                 generations: 2,
                 ..GaConfig::default()
@@ -536,6 +554,127 @@ mod tests {
         let a = ga_bitstring(f, 16, &[], GaConfig::default());
         let b = ga_bitstring(f, 16, &[], GaConfig::default());
         assert_eq!(a.bits, b.bits);
+    }
+
+    #[test]
+    fn rank_puts_nan_last_and_keeps_signed_zero_ties() {
+        assert_eq!(rank(-0.0, 0.0, true), Ordering::Equal);
+        assert_eq!(rank(0.0, -0.0, false), Ordering::Equal);
+        assert_eq!(rank(1.0, 2.0, true), Ordering::Less);
+        assert_eq!(rank(1.0, 2.0, false), Ordering::Greater);
+        for minimize in [true, false] {
+            assert_eq!(rank(f64::NAN, -1e300, minimize), Ordering::Greater);
+            assert_eq!(rank(f64::INFINITY, f64::NAN, minimize), Ordering::Less);
+            assert_eq!(rank(f64::NAN, f64::NAN, minimize), Ordering::Equal);
+        }
+    }
+
+    #[test]
+    fn nelder_mead_ranks_nan_worst() {
+        // The first perturbed vertex lands in the NaN region.
+        let f = |x: &[f64]| {
+            if x[0] > 1.2 {
+                f64::NAN
+            } else {
+                x.iter().map(|v| v * v).sum()
+            }
+        };
+        let r = nelder_mead(f, &[1.0, 1.0], 0.5, 500, 1e-12);
+        assert!(r.value < 1e-6, "value = {}", r.value);
+        // Even with no iterations, the NaN vertex is never reported.
+        let r = nelder_mead(
+            |x: &[f64]| if x[0] == 0.0 { f64::NAN } else { x[0] },
+            &[0.0],
+            1.0,
+            0,
+            0.0,
+        );
+        assert_eq!(r.value, 1.0);
+    }
+
+    #[test]
+    fn multistart_ranks_nan_worst() {
+        // The first start (the box midpoint) sees only NaN; a later start
+        // must replace it.
+        let f = |x: &[f64]| {
+            if x[0].abs() < 2.0 {
+                f64::NAN
+            } else {
+                (x[0].abs() - 2.0).powi(2)
+            }
+        };
+        let r = multistart_nelder_mead(f, &[(-3.0, 3.0)], 8, 200, 11);
+        assert!(r.value < 1e-6, "value = {}", r.value);
+    }
+
+    #[test]
+    fn de_ranks_nan_worst() {
+        let f = |x: &[f64]| {
+            if x[0] > 0.5 {
+                f64::NAN
+            } else {
+                (x[0] + 0.3).powi(2) + x[1].powi(2)
+            }
+        };
+        let r = differential_evolution(f, &[(-2.0, 2.0), (-2.0, 2.0)], 16, 60, 3);
+        assert!(r.value < 1e-3, "value = {}", r.value);
+    }
+
+    #[test]
+    fn ga_ranks_nan_worst() {
+        // Individual 0 (the seed) scores NaN; the search must neither
+        // panic in its sort nor stick on index 0 when tracking the best.
+        let f = |b: &[bool]| {
+            if b[0] && b[1] {
+                f64::NAN
+            } else {
+                b.iter().filter(|&&x| x).count() as f64
+            }
+        };
+        let r = ga_bitstring(
+            f,
+            24,
+            &[vec![true; 24]],
+            GaConfig {
+                generations: 60,
+                ..GaConfig::default()
+            },
+        );
+        assert!(r.fitness >= 20.0, "fitness = {}", r.fitness);
+        assert!(!(r.bits[0] && r.bits[1]));
+        // One generation: only the initial scoring and the best scan.
+        let r = ga_bitstring(
+            f,
+            8,
+            &[vec![true; 8]],
+            GaConfig {
+                generations: 1,
+                ..GaConfig::default()
+            },
+        );
+        assert!(!r.fitness.is_nan());
+    }
+
+    #[test]
+    fn ga_does_not_rescore_elites() {
+        let calls = std::cell::Cell::new(0usize);
+        let cfg = GaConfig {
+            population: 10,
+            generations: 6,
+            elitism: 3,
+            ..GaConfig::default()
+        };
+        let _ = ga_bitstring(
+            |b: &[bool]| {
+                calls.set(calls.get() + 1);
+                b.iter().filter(|&&x| x).count() as f64
+            },
+            16,
+            &[],
+            cfg,
+        );
+        // Initial population, then only the children of 5 generations.
+        assert_eq!(calls.get(), 10 + 5 * (10 - 3));
     }
 
     #[test]

@@ -22,6 +22,35 @@
 //! `θ_d = 2π·f·d·T_clk mod 2π` — the coverage of these phases over
 //! `d ∈ [0, N]` is exactly the Table II parking-frequency analysis.
 //!
+//! # Row-sparse column kernel
+//!
+//! Every per-tick product goes through one kernel, [`SparseRows::apply_columns`]:
+//! the step matrix keeps, per row, only its entries that are not exactly
+//! zero, and it multiplies a block of state columns. `F` is diagonal, so a
+//! tick without a pulse costs one complex multiply per state element
+//! instead of `levels`; `F·K` keeps its dense rows. [`SfqPulseSim::lab_gate`]
+//! advances all `levels` columns; [`SfqPulseSim::frame_gate_qubit`] advances
+//! only the two leading columns (column `j` of `U_lab` is the product
+//! applied to `e_j` and never mixes with the others) and applies the
+//! diagonal `R†` the same way to rows 0 and 1 only.
+//!
+//! The kernel is bit-identical to the dense [`CMat::matmul_into`] product.
+//! Each output element starts at `+0` and adds `a_ik·x_kj` (as
+//! `re += a.re·x.re − a.im·x.im`, `im += a.re·x.im + a.im·x.re`) in
+//! increasing `k`, as the dense loop does. A skipped term has
+//! `a_ik = ±0 ± 0i`; with a finite `x_kj` both of its parts are `±0`. An
+//! IEEE sum is `−0` only when both addends are `−0`, so the accumulator,
+//! which starts at `+0`, is never `−0`, and adding `±0` to it leaves it
+//! unchanged. Dropping the term therefore changes no bit. The argument
+//! needs finite right-hand sides: a non-finite `x_kj` times a zero is NaN
+//! in the dense product. The propagators here are unitary; a NaN model
+//! parameter makes every entry of the step it enters NaN, so the state
+//! turns NaN everywhere at once and both products put NaN in the same
+//! places.
+//!
+//! Flops are counted as for the dense kernels, per multiply-accumulate
+//! actually done: `8·nnz(row)·cols` for every output row.
+//!
 //! # Examples
 //!
 //! ```
@@ -37,6 +66,7 @@
 //! ```
 
 use crate::complex::C64;
+use crate::counters;
 use crate::expm::expm_hermitian_propagator;
 use crate::matrix::CMat;
 use crate::transmon::Transmon;
@@ -63,15 +93,127 @@ impl Default for SfqParams {
     }
 }
 
+/// A square matrix kept as its entries that are not exactly zero, row by
+/// row in increasing column order: the operand of the column kernel (see
+/// the module docs for why skipping the zeros is exact).
+#[derive(Debug, Clone)]
+pub struct SparseRows {
+    n: usize,
+    /// Row `i` holds `entries[row_end[i − 1]..row_end[i]]` (from 0 for
+    /// row 0).
+    row_end: Vec<usize>,
+    /// `(column, value)` pairs.
+    entries: Vec<(usize, C64)>,
+}
+
+impl SparseRows {
+    /// Keeps every entry of `m` except the exact zeros (`±0 ± 0i`); NaN
+    /// entries are kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is not square.
+    pub fn from_dense(m: &CMat) -> Self {
+        assert!(m.is_square(), "SparseRows needs a square matrix");
+        let n = m.rows();
+        let mut row_end = Vec::with_capacity(n);
+        let mut entries = Vec::new();
+        for i in 0..n {
+            for k in 0..n {
+                let a = m[(i, k)];
+                if a.re != 0.0 || a.im != 0.0 {
+                    entries.push((k, a));
+                }
+            }
+            row_end.push(entries.len());
+        }
+        SparseRows {
+            n,
+            row_end,
+            entries,
+        }
+    }
+
+    /// Total number of kept entries.
+    pub fn nnz(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Writes rows `0..out.rows()` of `self · x` into `out`, where `x` is
+    /// a block of `x.cols()` state columns. Bit-identical to the same rows
+    /// of `self_dense.matmul(x)` for finite `x` (module docs). Counts
+    /// `8·nnz(row)·cols` flops per computed row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not have as many rows as the matrix, `out` has
+    /// more rows than it or a different column count.
+    pub fn apply_columns(&self, x: &CMat, out: &mut CMat) {
+        let c = x.cols();
+        assert_eq!(x.rows(), self.n, "apply_columns: state has wrong row count");
+        assert!(
+            out.rows() <= self.n && out.cols() == c,
+            "apply_columns: output is {}x{}, expected at most {}x{}",
+            out.rows(),
+            out.cols(),
+            self.n,
+            c
+        );
+        let rows = out.rows();
+        counters::tally_flops(8 * (self.row_end[..rows].last().copied().unwrap_or(0) * c) as u64);
+        let (xs, out) = (x.as_slice(), out.as_mut_slice());
+        // Two columns (the qubit block of every fitness call) get a core
+        // whose row accumulators stay in registers; same order.
+        match c {
+            0 => {}
+            2 => self.apply_fixed::<2>(xs, out),
+            _ => {
+                let mut start = 0;
+                for (orow, &end) in out.chunks_exact_mut(c).zip(&self.row_end) {
+                    orow.fill(C64::ZERO);
+                    for &(k, a) in &self.entries[start..end] {
+                        let (ar, ai) = (a.re, a.im);
+                        for (o, r) in orow.iter_mut().zip(&xs[k * c..(k + 1) * c]) {
+                            let (rr, ri) = (r.re, r.im);
+                            o.re += ar * rr - ai * ri;
+                            o.im += ar * ri + ai * rr;
+                        }
+                    }
+                    start = end;
+                }
+            }
+        }
+    }
+
+    /// [`SparseRows::apply_columns`] for a compile-time column count `C`.
+    #[inline]
+    fn apply_fixed<const C: usize>(&self, xs: &[C64], out: &mut [C64]) {
+        let mut start = 0;
+        for (orow, &end) in out.chunks_exact_mut(C).zip(&self.row_end) {
+            let mut acc = [C64::ZERO; C];
+            for &(k, a) in &self.entries[start..end] {
+                let (ar, ai) = (a.re, a.im);
+                for (o, r) in acc.iter_mut().zip(&xs[k * C..k * C + C]) {
+                    let (rr, ri) = (r.re, r.im);
+                    o.re += ar * rr - ai * ri;
+                    o.im += ar * ri + ai * rr;
+                }
+            }
+            orow.copy_from_slice(&acc);
+            start = end;
+        }
+    }
+}
+
 /// Precomputed propagators for bitstream evolution of one transmon.
 #[derive(Debug, Clone)]
 pub struct SfqPulseSim {
     transmon: Transmon,
     params: SfqParams,
-    /// Lab-frame one-clock free propagator.
-    free: CMat,
+    /// Lab-frame one-clock free propagator `F` (diagonal).
+    free: SparseRows,
     /// Lab-frame one-clock propagator with a kick at the start: `F·K`.
-    free_kick: CMat,
+    free_kick: SparseRows,
 }
 
 impl SfqPulseSim {
@@ -83,8 +225,8 @@ impl SfqPulseSim {
         SfqPulseSim {
             transmon,
             params,
-            free,
-            free_kick,
+            free: SparseRows::from_dense(&free),
+            free_kick: SparseRows::from_dense(&free_kick),
         }
     }
 
@@ -98,38 +240,80 @@ impl SfqPulseSim {
         &self.params
     }
 
-    /// Lab-frame unitary of a bitstream (earliest bit applied first).
+    /// The one-tick step for bit `b`: `F·K` with a pulse, `F` without.
+    fn step(&self, b: bool) -> &SparseRows {
+        if b {
+            &self.free_kick
+        } else {
+            &self.free
+        }
+    }
+
+    /// Advances a block of lab-frame state columns (`levels` rows) by
+    /// `bits`, earliest bit first. The products ping-pong between `state`
+    /// and `scratch` (same shape); the result ends in `state`.
     ///
-    /// The per-tick products ping-pong between the accumulator and one
-    /// scratch matrix, so a 253-tick stream costs two allocations instead
-    /// of one per tick.
+    /// # Panics
+    ///
+    /// Panics if the shapes differ or do not have `levels` rows.
+    pub fn advance(&self, state: &mut CMat, scratch: &mut CMat, bits: &[bool]) {
+        for &b in bits {
+            self.step(b).apply_columns(state, scratch);
+            std::mem::swap(state, scratch);
+        }
+    }
+
+    /// The two leading columns of the identity (`levels × 2`): the
+    /// lab-frame state of an empty bitstream restricted to `|0⟩`, `|1⟩`.
+    pub fn qubit_columns(&self) -> CMat {
+        let mut cols = CMat::zeros(self.transmon.levels, 2);
+        cols[(0, 0)] = C64::ONE;
+        cols[(1, 1)] = C64::ONE;
+        cols
+    }
+
+    /// `R(len·T_clk)†`, the frame change of a `len`-tick stream, as sparse
+    /// rows (it is diagonal).
+    pub fn frame_dagger(&self, len: usize) -> SparseRows {
+        let t_total = len as f64 * self.params.clock_period_ns;
+        let r = self
+            .transmon
+            .frame_propagator(self.transmon.frequency_ghz, t_total);
+        SparseRows::from_dense(&r.dagger())
+    }
+
+    /// Lab-frame unitary of a bitstream (earliest bit applied first): the
+    /// column kernel over all `levels` columns of the identity.
     pub fn lab_gate(&self, bits: &[bool]) -> CMat {
         let n = self.transmon.levels;
         let mut u = CMat::identity(n);
         let mut tmp = CMat::zeros(n, n);
-        for &b in bits {
-            let step = if b { &self.free_kick } else { &self.free };
-            step.matmul_into(&u, &mut tmp);
-            std::mem::swap(&mut u, &mut tmp);
-        }
+        self.advance(&mut u, &mut tmp, bits);
         u
     }
 
     /// Rotating-frame gate of a bitstream at the qubit's own frequency:
     /// `R(L·T)† · U_lab`.
     pub fn frame_gate(&self, bits: &[bool]) -> CMat {
-        let t_total = bits.len() as f64 * self.params.clock_period_ns;
-        let r = self
-            .transmon
-            .frame_propagator(self.transmon.frequency_ghz, t_total);
-        r.dagger().matmul(&self.lab_gate(bits))
+        let lab = self.lab_gate(bits);
+        let mut out = CMat::zeros(lab.rows(), lab.cols());
+        self.frame_dagger(bits.len()).apply_columns(&lab, &mut out);
+        out
     }
 
     /// Rotating-frame gate projected onto the two-level computational
     /// subspace (the object whose fidelity §V-A evaluates; leakage shows up
-    /// as sub-unitarity).
+    /// as sub-unitarity). Bit-identical to
+    /// `frame_gate(bits).top_left_block(2)`, but advances only the two
+    /// leading state columns.
     pub fn frame_gate_qubit(&self, bits: &[bool]) -> CMat {
-        self.frame_gate(bits).top_left_block(2)
+        let mut cols = self.qubit_columns();
+        let mut scratch = CMat::zeros(cols.rows(), 2);
+        self.advance(&mut cols, &mut scratch, bits);
+        let mut block = CMat::zeros(2, 2);
+        self.frame_dagger(bits.len())
+            .apply_columns(&cols, &mut block);
+        block
     }
 
     /// Phase advance per clock tick: `2π·f·T_clk mod 2π`.
@@ -178,16 +362,15 @@ impl SfqPulseSim {
     /// `(x, y, z)` of the qubit-subspace projection after every clock tick
     /// (lab frame). Regenerates the trajectories of Fig 2(b).
     pub fn bloch_trajectory(&self, bits: &[bool]) -> Vec<(f64, f64, f64)> {
-        let mut state = vec![C64::ZERO; self.transmon.levels];
-        state[0] = C64::ONE;
+        let mut state = CMat::zeros(self.transmon.levels, 1);
+        state[(0, 0)] = C64::ONE;
         let mut scratch = state.clone();
         let mut out = Vec::with_capacity(bits.len());
         for &b in bits {
-            let step = if b { &self.free_kick } else { &self.free };
-            step.apply_into(&state, &mut scratch);
+            self.step(b).apply_columns(&state, &mut scratch);
             std::mem::swap(&mut state, &mut scratch);
-            let c0 = state[0];
-            let c1 = state[1];
+            let c0 = state[(0, 0)];
+            let c1 = state[(1, 0)];
             let cross = c0.conj() * c1;
             out.push((2.0 * cross.re, 2.0 * cross.im, c0.abs2() - c1.abs2()));
         }
@@ -234,7 +417,7 @@ mod tests {
     #[test]
     fn all_zero_bitstream_is_identity_on_qubit_subspace() {
         let s = sim();
-        let u = s.frame_gate_qubit(&vec![false; 100]);
+        let u = s.frame_gate_qubit(&[false; 100]);
         // Free evolution in the qubit's own frame: diagonal, no qubit
         // rotation; phases on |0⟩,|1⟩ levels are trivial.
         assert!(

@@ -176,7 +176,7 @@ fn degenerate_spectrum(n: usize, rng: &mut StdRng) -> CMat {
     for i in 0..n {
         for j in 0..n {
             if i != j {
-                d[i * n + j] = d[i * n + j] * 1e-3;
+                d[i * n + j] *= 1e-3;
             }
         }
         d[i * n + i] = C64::real(((i / 2) as f64) * 2.0);

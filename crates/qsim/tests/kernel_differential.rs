@@ -62,7 +62,7 @@ fn naive_matmul(a: &CMat, b: &CMat) -> CMat {
     CMat::from_fn(r, c, |i, j| {
         let mut acc = C64::ZERO;
         for x in 0..k {
-            acc = acc + a[(i, x)] * b[(x, j)];
+            acc += a[(i, x)] * b[(x, j)];
         }
         acc
     })
@@ -151,7 +151,7 @@ fn apply_into_matches_naive_matvec() {
             .map(|i| {
                 let mut acc = C64::ZERO;
                 for j in 0..n {
-                    acc = acc + m[(i, j)] * v[j];
+                    acc += m[(i, j)] * v[j];
                 }
                 acc
             })

@@ -75,6 +75,7 @@ impl WaveStats {
 /// coalescing assertion uses a few milliseconds so later duplicates
 /// land mid-build (a cold smoke evaluation runs tens of milliseconds)
 /// instead of racing the first request's completion on a loaded box.
+#[allow(clippy::too_many_arguments)]
 fn wave(
     addr: &str,
     spec: &SweepSpec,

@@ -88,7 +88,7 @@ impl Node {
 
     /// Whether the node defines a pipeline stage (clocked cell).
     pub fn is_clocked(&self) -> bool {
-        self.cell().map_or(false, CellType::is_clocked)
+        self.cell().is_some_and(CellType::is_clocked)
     }
 
     /// Total balancing DFFs attached to this node.
@@ -420,7 +420,7 @@ impl Netlist {
         for &(_, dst) in &self.feedback {
             let ok = self.nodes[dst.index()]
                 .cell()
-                .map_or(false, CellType::is_storage);
+                .is_some_and(CellType::is_storage);
             if !ok {
                 return Err(NetlistError::FeedbackIntoNonStorage { node: dst.0 });
             }

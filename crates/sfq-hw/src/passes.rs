@@ -134,11 +134,7 @@ pub fn insert_splitters(nl: &mut Netlist) -> u64 {
     let mut added = 0u64;
     for i in 0..n0 {
         let id = NodeId(i as u32);
-        let max = nl
-            .node(id)
-            .cell()
-            .map_or(usize::MAX.min(2), CellType::max_fanout)
-            .max(1);
+        let max = nl.node(id).cell().map_or(2, CellType::max_fanout).max(1);
         // Primary inputs are driven by off-module drivers; give them the
         // same single-sink discipline (the driver needs a splitter tree
         // too — counted here so module costs are self-contained).

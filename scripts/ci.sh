@@ -61,11 +61,10 @@ cargo test -q --offline
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-# Lint gate, one crate at a time as each becomes clean: calib (and the
-# qsim it builds on) under -D warnings. The rest of the workspace's
-# clippy warnings are an open ROADMAP item.
-echo "==> cargo clippy -p calib -D warnings"
-cargo clippy -p calib --all-targets --offline -- -D warnings
+# Lint gate: the whole workspace, tests, benches and binaries included,
+# under -D warnings.
+echo "==> cargo clippy --workspace --all-targets -D warnings"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # The ROADMAP's offline constraint: the dependency graph — dev edges
 # included, test-only crates were the bulk of what PR 1 removed — must
