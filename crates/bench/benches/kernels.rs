@@ -314,11 +314,12 @@ fn bench_exec(h: &mut Bench) {
     use digiq_core::exec::{checkerboard_groups, execute, ExecParams};
     use qcircuit::pipeline::{CompileArtifact, Pipeline, PipelineConfig};
     use qcircuit::topology::Grid;
-    // DigiQ_opt slot demand at paper scale: the 256-bit lookahead adder
-    // on the 32×32 grid (the benchmark with the most slots, and most of
-    // the paper sweep's demand work), compiled once outside the timed
-    // closure. The `allocs` counter is the `SlotDemand` workspace growth
-    // of one run — a few warm-up grows, never one per slot.
+    // DigiQ_opt slot demand and the DigiQ_min timelines at paper scale:
+    // the 256-bit lookahead adder on the 32×32 grid (the benchmark with
+    // the most slots, and most of the paper sweep's exec work), compiled
+    // once outside the timed closures. The `allocs` counter is the
+    // `SlotDemand` workspace growth of one run (draw tables and demand
+    // buffers) — a few warm-up grows, never one per slot or gate.
     let grid = Grid::new(32, 32);
     let logical = qcircuit::bench::Benchmark::Add2.paper_scale();
     let layout = qcircuit::mapping::Layout::snake(logical.n_qubits(), &grid);
@@ -331,14 +332,19 @@ fn bench_exec(h: &mut Bench) {
         2,
     ));
     params.config.n_qubits = compiled.circuit.n_qubits();
-    h.bench("exec_opt_bs8_paper", || {
-        execute(
-            black_box(&compiled.circuit),
-            compiled.scheduled(),
-            &groups,
-            &params,
-        )
-    });
+    let mut exec_row = |name: &'static str, design: ControllerDesign| {
+        params.config.design = design;
+        h.bench(name, || {
+            execute(
+                black_box(&compiled.circuit),
+                compiled.scheduled(),
+                &groups,
+                &params,
+            )
+        });
+    };
+    exec_row("exec_opt_bs8_paper", ControllerDesign::DigiqOpt { bs: 8 });
+    exec_row("exec_min_bs2_paper", ControllerDesign::DigiqMin { bs: 2 });
 }
 
 fn bench_synthesis(h: &mut Bench) {

@@ -533,6 +533,7 @@ fn simulate_timelines(
 ) -> CosimReport {
     let cfg = &params.exec.config;
     let model = DelayModel::new(&params.exec);
+    let mut draws = SlotDemand::new();
     let cycle_ticks = cfg.cycle_ticks();
     let cz_ticks = cfg.cz_ticks();
     let one_bitstream = matches!(
@@ -581,7 +582,7 @@ fn simulate_timelines(
                     let k = if one_bitstream {
                         1
                     } else {
-                        model.min_depth(kind, q)
+                        draws.min_depth(&model, kind, q)
                     };
                     if tracer.on {
                         // DigiQ_min sequence playback: one basis firing

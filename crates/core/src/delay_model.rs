@@ -26,15 +26,46 @@
 //! firing position) — is counted once, by [`SlotDemand`], and both
 //! engines read it from there: the analytic model folds its runs into a
 //! closed-form cost, the co-simulator replays them cycle by cycle.
+//!
+//! # Interned draws
+//!
+//! Every draw depends on the gate only through a small key, so a run
+//! hashes each distinct key once and looks it up after that. The memo
+//! lives in the caller's [`SlotDemand`], one per run:
+//!
+//! * **DigiQ_opt:** `(angle bin, L, group, q mod variation_classes)`.
+//!   `L` is in the key because two gates in one angle bin can sit on
+//!   either side of `opt_l3_threshold`. A key's first gate draws its
+//!   classes with [`DelayModel::delay_classes`], and each `(group, pos,
+//!   class hash)` triple gets a dense id. Ids are minted per exact hash
+//!   value, so keys whose hashes collide share an id and count as one
+//!   class, just as a set of hashes counts them: the memo changes no
+//!   count. A slot's distinct classes are then counted with an epoch
+//!   stamp per id, and only the few (group, pos) pairs it touched are
+//!   sorted into [`DemandRun`]s.
+//! * **DigiQ_min:** `(angle bin, q mod 7)` → the raw depth draw.
+//!
+//! A workspace handed a model with another seed, `angle_bins`,
+//! `variation_classes` or `opt_l3_threshold` drops its memo first. The
+//! one-shot draws ([`DelayModel::delay_class`], [`DelayModel::min_depth`])
+//! stay as the reference the differential tests compare against
+//! (`crates/core/tests/slot_demand_differential.rs`).
 
 use crate::exec::ExecParams;
 use qcircuit::ir::{Circuit, Gate, OneQ};
 use qcircuit::schedule::Slot;
 use qsim::rng::StableHasher;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Stable digest used for every observable draw (lands in golden files).
 pub(crate) fn hash_u64(parts: &[u64]) -> u64 {
     qsim::rng::stable_hash(parts)
+}
+
+/// The mild per-qubit variation class of the DigiQ_min depth draw.
+fn min_class(q: usize) -> u64 {
+    q as u64 % 7
 }
 
 /// θ (ZYZ middle angle) of a 1q gate, cheaply.
@@ -49,10 +80,16 @@ pub fn gate_theta(kind: OneQ) -> f64 {
 }
 
 /// Quantized angle-class of a gate (delay-sharing key).
+///
+/// Each angle lands in one of `bins` classes `0..bins`. An angle a hair
+/// below zero wraps to exactly `2π` under `rem_euclid`, so the quantizer
+/// clamps to the last class rather than spill into the next gate kind's
+/// bin range.
 pub fn gate_bin(kind: OneQ, bins: usize) -> u64 {
     let q = |a: f64| {
-        ((a.rem_euclid(2.0 * std::f64::consts::PI)) / (2.0 * std::f64::consts::PI) * bins as f64)
-            as u64
+        (((a.rem_euclid(2.0 * std::f64::consts::PI)) / (2.0 * std::f64::consts::PI) * bins as f64)
+            as u64)
+            .min((bins as u64).saturating_sub(1))
     };
     match kind {
         OneQ::H => 1,
@@ -101,13 +138,30 @@ impl<'a> DelayModel<'a> {
     /// deterministic draw from the empirical length distribution, keyed by
     /// the gate's angle class and a mild per-qubit variation.
     pub fn min_depth(&self, kind: OneQ, q: usize) -> usize {
-        let idx = hash_u64(&[
-            self.seed,
-            gate_bin(kind, self.angle_bins),
-            q as u64 % 7, // mild per-qubit variation
-        ]) as usize
-            % self.min_lengths.len().max(1);
+        self.min_length(self.min_draw(gate_bin(kind, self.angle_bins), min_class(q)))
+    }
+
+    /// The raw DigiQ_min draw of an angle bin and qubit variation class.
+    fn min_draw(&self, bin: u64, qubit_class: u64) -> u64 {
+        hash_u64(&[self.seed, bin, qubit_class])
+    }
+
+    /// The decomposition depth a raw [`DelayModel::min_draw`] picks.
+    fn min_length(&self, draw: u64) -> usize {
+        let idx = draw as usize % self.min_lengths.len().max(1);
         self.min_lengths.get(idx).copied().unwrap_or(1)
+    }
+
+    /// Everything the memoized draws of a [`SlotDemand`] depend on
+    /// besides the gate key (`min_lengths` only picks from a stored raw
+    /// draw, so it is not part of it).
+    fn memo_id(&self) -> ModelId {
+        (
+            self.seed,
+            self.angle_bins,
+            self.variation_classes,
+            self.opt_l3_threshold.to_bits(),
+        )
     }
 
     /// Number of delayed-Ubs firing positions `L ∈ {1, 2, 3}` a 1q gate
@@ -135,8 +189,13 @@ impl<'a> DelayModel<'a> {
             pos as u64,
             (group % 2) as u64, // frequency class
             // drift-forced per-qubit variation
-            (q % self.variation_classes.max(1)) as u64,
+            self.variation_class(q) as u64,
         ])
+    }
+
+    /// The drift-variation class of qubit `q`.
+    fn variation_class(&self, q: usize) -> usize {
+        q % self.variation_classes.max(1)
     }
 
     /// The delay classes of every firing position of a gate at once:
@@ -155,7 +214,7 @@ impl<'a> DelayModel<'a> {
             let mut h = prefix.clone();
             h.write_u64(pos as u64);
             h.write_u64((group % 2) as u64);
-            h.write_u64((q % self.variation_classes.max(1)) as u64);
+            h.write_u64(self.variation_class(q) as u64);
             *class = h.finish();
         }
         (classes, firings)
@@ -181,19 +240,190 @@ pub struct DemandRun {
     pub distinct: usize,
 }
 
-/// Reusable DigiQ_opt slot-demand workspace (§V-A): every group
-/// broadcasts only `BS` distinct delays per firing position, so each slot
-/// is priced by its distinct delay classes per (group, position).
+/// The [`DelayModel`] fields a [`DrawTable`] was filled under.
+type ModelId = (u64, usize, usize, u64);
+
+/// A multiplicative word hasher for the [`DrawTable`] maps. Their keys
+/// are small integer tuples and every lookup compares the full key, so
+/// the hash only decides where a key is probed, never which entry it
+/// finds. The keys come from the program's own compiled circuits, not
+/// from outside input, so the default hasher's protection against
+/// crafted collisions buys nothing, and its lookups cost about three
+/// times as much on the paper-scale Add2 gates.
+#[derive(Debug, Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+}
+
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// A DigiQ_opt draw key: `(gate bin, L, group, variation class)`. `L` is
+/// part of it because two gates in one angle bin can fall on either side
+/// of the `L = 3` threshold.
+type OptKey = (u64, usize, usize, usize);
+
+/// Table capacity reserved on first use. Every paper-scale benchmark but
+/// QGAN (~580 DigiQ_opt keys) fits its keys and classes without growing.
+const FIRST_CAPACITY: usize = 64;
+
+/// The per-run memo of the per-gate draws: each distinct gate key is
+/// hashed once through [`DelayModel`] and then looked up.
 ///
-/// [`SlotDemand::gather`] collects the slot's `(group, pos, class)`
-/// triples into one flat buffer, sorts and dedups it, and compresses the
-/// result into [`DemandRun`]s in ascending (group, pos) order. Keep one
-/// workspace across slots: after warm-up it never allocates. Buffer
-/// growth is tallied through [`qsim::counters::tally_alloc`], so the
-/// kernels bench can pin that.
+/// * **DigiQ_opt.** A 1q gate's classes depend only on its angle bin,
+///   firing count `L`, group and variation class. The first gate with a
+///   key draws its classes with [`DelayModel::delay_classes`] and interns
+///   each `(group, pos, class hash)` triple into a dense id. Ids are
+///   assigned per exact hash value, so two keys whose hashes collide share
+///   one id, which is exactly how a set of hashes counts them.
+/// * **DigiQ_min.** The raw depth draw of `(angle bin, q mod 7)`.
+///
+/// A table serving a model that differs in any draw parameter starts
+/// over, so it never returns a stale draw.
+#[derive(Debug, Default)]
+struct DrawTable {
+    model: Option<ModelId>,
+    /// DigiQ_opt key → class id per firing position.
+    opt: WordMap<OptKey, [u32; 3]>,
+    /// `(group, pos, class hash)` → dense class id.
+    class_ids: WordMap<(usize, usize, u64), u32>,
+    /// Per class id: the last slot epoch that demanded it.
+    stamps: Vec<u32>,
+    /// `(gate bin, qubit class)` → raw DigiQ_min draw.
+    min: WordMap<(u64, u64), u64>,
+}
+
+/// `HashMap::insert` of a new key that tallies one allocation whenever
+/// the map grows.
+fn insert_counted<K: Hash + Eq, V>(map: &mut WordMap<K, V>, key: K, value: V) {
+    if map.len() == map.capacity() {
+        qsim::counters::tally_alloc();
+        map.reserve(FIRST_CAPACITY.max(map.len()));
+    }
+    map.insert(key, value);
+}
+
+impl DrawTable {
+    /// Starts over unless the table was filled under `model`'s draw
+    /// parameters.
+    fn bind(&mut self, model: &DelayModel<'_>) {
+        let id = model.memo_id();
+        if self.model != Some(id) {
+            self.model = Some(id);
+            self.opt.clear();
+            self.class_ids.clear();
+            self.stamps.clear();
+            self.min.clear();
+        }
+    }
+
+    /// The class ids of every firing position of a gate, and its `L`.
+    #[inline]
+    fn opt_ids(
+        &mut self,
+        model: &DelayModel<'_>,
+        kind: OneQ,
+        group: usize,
+        q: usize,
+    ) -> ([u32; 3], usize) {
+        let firings = model.firing_count(kind);
+        let key = (
+            gate_bin(kind, model.angle_bins),
+            firings,
+            group,
+            model.variation_class(q),
+        );
+        match self.opt.get(&key) {
+            Some(&ids) => (ids, firings),
+            None => (self.draw_opt(model, kind, group, q, key), firings),
+        }
+    }
+
+    /// Draws and interns the class ids of a key's first gate.
+    #[cold]
+    #[inline(never)]
+    fn draw_opt(
+        &mut self,
+        model: &DelayModel<'_>,
+        kind: OneQ,
+        group: usize,
+        q: usize,
+        key: OptKey,
+    ) -> [u32; 3] {
+        let firings = key.1;
+        let (classes, _) = model.delay_classes(kind, group, q);
+        let mut ids = [0u32; 3];
+        for (pos, (id, &class)) in ids.iter_mut().zip(&classes).take(firings).enumerate() {
+            *id = match self.class_ids.get(&(group, pos, class)) {
+                Some(&id) => id,
+                None => {
+                    let id = self.stamps.len() as u32;
+                    insert_counted(&mut self.class_ids, (group, pos, class), id);
+                    push_counted(&mut self.stamps, 0);
+                    id
+                }
+            };
+        }
+        insert_counted(&mut self.opt, key, ids);
+        ids
+    }
+
+    /// [`DelayModel::min_depth`] through the memo.
+    fn min_depth(&mut self, model: &DelayModel<'_>, kind: OneQ, q: usize) -> usize {
+        let key = (gate_bin(kind, model.angle_bins), min_class(q));
+        let draw = match self.min.get(&key) {
+            Some(&draw) => draw,
+            None => {
+                let draw = model.min_draw(key.0, key.1);
+                insert_counted(&mut self.min, key, draw);
+                draw
+            }
+        };
+        model.min_length(draw)
+    }
+}
+
+/// Reusable per-run workspace for the per-gate draws of both execution
+/// engines, and the DigiQ_opt slot demand (§V-A): every group broadcasts
+/// only `BS` distinct delays per firing position, so each slot is priced
+/// by its distinct delay classes per (group, position).
+///
+/// [`SlotDemand::gather`] looks each gate's class ids up in the run's
+/// draw memo (see the module docs), marks each id with the slot's epoch
+/// the first time the slot demands it, and counts the marked ids per
+/// (group, pos) pair. Only the few pairs the slot touched are sorted into
+/// [`DemandRun`]s, ascending by (group, pos). [`SlotDemand::min_depth`]
+/// is the memoized DigiQ_min draw.
+///
+/// Keep one workspace per run: after warm-up it never allocates. Table
+/// and buffer growth is tallied through [`qsim::counters::tally_alloc`],
+/// so the kernels bench can pin that. A workspace handed a [`DelayModel`]
+/// with other draw parameters drops its memo and refills it.
 #[derive(Debug, Default)]
 pub struct SlotDemand {
-    triples: Vec<(usize, usize, u64)>,
+    draws: DrawTable,
+    /// Per `group · 3 + pos` pair: (slot epoch, distinct classes).
+    pairs: Vec<(u32, u32)>,
+    /// Pairs the current slot demanded.
+    touched: Vec<usize>,
+    epoch: u32,
     runs: Vec<DemandRun>,
     cz_count: u64,
 }
@@ -202,6 +432,7 @@ pub struct SlotDemand {
 fn push_counted<T>(v: &mut Vec<T>, x: T) {
     if v.len() == v.capacity() {
         qsim::counters::tally_alloc();
+        v.reserve(FIRST_CAPACITY.max(v.len()));
     }
     v.push(x);
 }
@@ -227,37 +458,70 @@ impl SlotDemand {
         group_of: &[usize],
         model: &DelayModel<'_>,
     ) {
-        self.triples.clear();
+        self.draws.bind(model);
         self.runs.clear();
         self.cz_count = 0;
+        self.next_epoch();
         for &gi in slot {
             match circuit.gates()[gi] {
                 Gate::Cz { .. } => self.cz_count += 1,
                 Gate::OneQ { q, kind } => {
                     let group = group_of.get(q).copied().unwrap_or(0);
-                    let (classes, firings) = model.delay_classes(kind, group, q);
-                    for (pos, &class) in classes[..firings].iter().enumerate() {
-                        push_counted(&mut self.triples, (group, pos, class));
+                    let (ids, firings) = self.draws.opt_ids(model, kind, group, q);
+                    for (pos, &id) in ids[..firings].iter().enumerate() {
+                        let stamp = &mut self.draws.stamps[id as usize];
+                        let fresh = (*stamp != self.epoch) as u32;
+                        *stamp = self.epoch;
+                        let pair = group * 3 + pos;
+                        if pair >= self.pairs.len() {
+                            let len = 3 * (group + 1);
+                            if len > self.pairs.capacity() {
+                                qsim::counters::tally_alloc();
+                            }
+                            self.pairs.resize(len, (0, 0));
+                        }
+                        let (seen, distinct) = &mut self.pairs[pair];
+                        if *seen != self.epoch {
+                            *seen = self.epoch;
+                            *distinct = 0;
+                            push_counted(&mut self.touched, pair);
+                        }
+                        *distinct += fresh;
                     }
                 }
                 _ => panic!("slot demand requires a lowered circuit"),
             }
         }
-        self.triples.sort_unstable();
-        self.triples.dedup();
-        for &(group, pos, _) in &self.triples {
-            match self.runs.last_mut() {
-                Some(run) if run.group == group && run.pos == pos => run.distinct += 1,
-                _ => push_counted(
-                    &mut self.runs,
-                    DemandRun {
-                        group,
-                        pos,
-                        distinct: 1,
-                    },
-                ),
-            }
+        self.touched.sort_unstable();
+        for &pair in &self.touched {
+            push_counted(
+                &mut self.runs,
+                DemandRun {
+                    group: pair / 3,
+                    pos: pair % 3,
+                    distinct: self.pairs[pair].1 as usize,
+                },
+            );
         }
+        self.touched.clear();
+    }
+
+    /// Advances the slot epoch; on wrap-around every stamp restarts.
+    fn next_epoch(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.draws.stamps.fill(0);
+            self.pairs.fill((0, 0));
+            self.epoch = 1;
+        }
+    }
+
+    /// The decomposition depth `K` of a 1q gate on the discrete-basis
+    /// designs: [`DelayModel::min_depth`], drawn once per distinct
+    /// (angle bin, qubit class) of the run.
+    pub fn min_depth(&mut self, model: &DelayModel<'_>, kind: OneQ, q: usize) -> usize {
+        self.draws.bind(model);
+        self.draws.min_depth(model, kind, q)
     }
 
     /// The slot's demand runs, ascending by (group, pos).
@@ -299,6 +563,29 @@ mod tests {
         // Deterministic, and periodic in the 7-class qubit variation.
         assert_eq!(m.min_depth(OneQ::H, 3), m.min_depth(OneQ::H, 3));
         assert_eq!(m.min_depth(OneQ::H, 3), m.min_depth(OneQ::H, 10));
+    }
+
+    #[test]
+    fn angles_just_below_zero_stay_in_their_kind_s_bin_range() {
+        let bins = 48;
+        let last = bins as u64 - 1;
+        let eps = -1e-16_f64;
+        assert_eq!(eps.rem_euclid(std::f64::consts::TAU), std::f64::consts::TAU);
+        assert_eq!(gate_bin(OneQ::Rx(eps), bins), 100 + last);
+        assert_eq!(gate_bin(OneQ::Ry(eps), bins), 100 + bins as u64 + last);
+        assert_eq!(gate_bin(OneQ::Rz(eps), bins), 100 + 2 * bins as u64 + last);
+        let u = |theta, phi, lam| gate_bin(OneQ::U { theta, phi, lam }, bins);
+        assert_eq!(u(0.0, 0.0, eps), 1000 + last);
+        assert_eq!(u(0.0, eps, 0.0), 1000 + last * bins as u64);
+        // Unclamped, λ = −ε would alias φ's bin 1.
+        assert_ne!(
+            u(0.0, 0.0, eps),
+            u(0.0, std::f64::consts::TAU / 48.0 * 1.5, 0.0)
+        );
+        // Ordinary angles are untouched by the clamp.
+        assert_eq!(gate_bin(OneQ::Rx(0.0), bins), 100);
+        assert_eq!(gate_bin(OneQ::Rx(-0.1), bins), 100 + 47);
+        assert_eq!(gate_bin(OneQ::Rx(3.0), bins), 100 + 22);
     }
 
     #[test]

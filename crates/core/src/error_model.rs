@@ -13,8 +13,11 @@
 //!   `calib::cz` composes the best 1–2-pulse CZ, and the surrounding
 //!   single-qubit gates contribute their own decomposition error.
 //!
-//! Work is parallelized over qubits/couplers with scoped threads.
+//! Work is parallelized over qubits/couplers with
+//! [`crate::engine::par_map_ordered`]: workers claim one item at a time
+//! (per-qubit cost varies widely) and rows come back in input order.
 
+use crate::engine::par_map_ordered;
 use crate::store::{ns, ArtifactStore};
 use calib::bitstream::{basis_op_for_qubit, find_bitstream, SearchConfig, ZFreedom};
 use calib::cz::{calibrate_shared_pulse, cz_error_with_local_1q, uqq_for_drift, SharedCzPulse};
@@ -303,21 +306,7 @@ pub fn fig10a_with_store(
         }
     };
 
-    // Scoped parallel map over the population.
-    let threads = config.threads.max(1);
-    let chunk = population.len().div_ceil(threads);
-    let mut rows: Vec<QubitErrorRow> = Vec::with_capacity(population.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = population
-            .chunks(chunk)
-            .map(|part| s.spawn(|| part.iter().map(&eval_qubit).collect::<Vec<_>>()))
-            .collect();
-        for h in handles {
-            rows.extend(h.join().expect("worker panicked"));
-        }
-    });
-    rows.sort_by_key(|r| r.qubit);
-    rows
+    par_map_ordered(&population, config.threads, |_, q| eval_qubit(q))
 }
 
 /// Per-coupler Fig 10b record.
@@ -398,20 +387,7 @@ pub fn fig10b(
         }
     };
 
-    let threads = config.threads.max(1);
-    let chunk = couplers.len().div_ceil(threads);
-    let mut rows: Vec<CouplerErrorRow> = Vec::with_capacity(couplers.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = couplers
-            .chunks(chunk)
-            .map(|part| s.spawn(|| part.iter().map(&eval).collect::<Vec<_>>()))
-            .collect();
-        for h in handles {
-            rows.extend(h.join().expect("worker panicked"));
-        }
-    });
-    rows.sort_by_key(|r| r.coupler);
-    rows
+    par_map_ordered(&couplers, config.threads, |_, c| eval(c))
 }
 
 #[cfg(test)]

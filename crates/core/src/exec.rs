@@ -22,6 +22,14 @@
 //!   [`crate::delay_model::SlotDemand`] workspace — the same count
 //!   [`crate::cosim`] replays cycle by cycle.
 //!
+//! Each run owns one `SlotDemand`, which also memoizes the per-gate
+//! draws: a gate's delay classes (DigiQ_opt) or depth `K` (DigiQ_min) are
+//! hashed once per distinct gate key and looked up after that. DigiQ_opt
+//! classes are interned into dense ids per exact hash value, so two keys
+//! whose hashes collide still count as one class, exactly as the one-shot
+//! hashes do; slot demand is counted with per-id epoch stamps instead of
+//! a sort. See [`crate::delay_model`].
+//!
 //! CZ gates occupy `cz_ns` (3 DigiQ_opt cycles) regardless of design.
 //! This is a *statistical* model of the per-gate delay assignments (the
 //! exact per-qubit values come from `calib`, but Fig 9 only needs the
@@ -178,6 +186,7 @@ pub fn execute(
     let cfg = &params.config;
     let cycle = cfg.cycle_ns();
     let model = DelayModel::new(params);
+    let mut demand = SlotDemand::new();
     let mut report = ExecReport::default();
 
     // Designs without cross-qubit resource coupling: exact per-qubit
@@ -206,7 +215,7 @@ pub fn execute(
                                 cfg.bitstream_ticks as f64 * cfg.clock_period_ns
                             }
                             _ => {
-                                let k = model.min_depth(kind, q);
+                                let k = demand.min_depth(&model, kind, q);
                                 report.oneq_cycles += k as u64;
                                 k as f64 * cycle
                             }
@@ -236,7 +245,6 @@ pub fn execute(
         ControllerDesign::DigiqOpt { bs } => bs,
         _ => unreachable!("non-opt designs returned above"),
     };
-    let mut demand = SlotDemand::new();
     for slot in slots {
         demand.gather(circuit, slot, group_of, &model);
         let cost = opt_slot_cost(&demand, bs);

@@ -10,8 +10,12 @@
 //! * **DigiQ_opt** — totals match under identical hash draws, and the
 //!   serialization cycles are attributed to the same schedule slots the
 //!   analytic per-slot cost assigns them to;
+//! * both hold at paper scale: all six Table IV benchmarks on the 32×32
+//!   grid, for DigiQ_opt at BS 4, 8 and 16 and DigiQ_min at BS 2;
 //! * the engine's co-simulation mode is byte-identical for any worker
 //!   count and unchanged by warm caches.
+
+mod common;
 
 use digiq_core::cosim::{diff_analytic, simulate, CosimParams, CosimReport};
 use digiq_core::delay_model::{DelayModel, SlotDemand};
@@ -151,6 +155,32 @@ fn opt_serialization_is_attributed_to_the_same_slots() {
         assert_eq!(attributed, cosim.serialization_cycles);
         // The sparse list only carries contended slots.
         assert!(cosim.slot_serialization.iter().all(|s| s.cycles > 0));
+    }
+}
+
+#[test]
+fn both_engines_agree_on_every_benchmark_at_paper_scale() {
+    for c in common::paper_benchmarks() {
+        for design in [
+            ControllerDesign::DigiqOpt { bs: 4 },
+            ControllerDesign::DigiqOpt { bs: 8 },
+            ControllerDesign::DigiqOpt { bs: 16 },
+            ControllerDesign::DigiqMin { bs: 2 },
+        ] {
+            let params = params_for(design, c.circuit.n_qubits());
+            let cosim = simulate(
+                &c.circuit,
+                &c.slots,
+                &c.groups,
+                &CosimParams::new(params.clone()),
+            );
+            let analytic = execute(&c.circuit, &c.slots, &c.groups, &params);
+            let d = diff_analytic(&cosim, &analytic);
+            assert!(d.is_exact(TOL), "{design} on {}: {d:?}", c.bench.name());
+            assert_eq!(cosim.oneq_cycles, analytic.oneq_cycles);
+            assert_eq!(cosim.serialization_cycles, analytic.serialization_cycles);
+            assert_eq!(cosim.slots, analytic.slots);
+        }
     }
 }
 
